@@ -38,6 +38,7 @@ from .graphs import is_connected, spanning_tree
 from .linalg import numerical_rank
 from .simulate import convergence_rate, integrate, monitor_invariants
 from .triples import (
+    check_planar_graphical_condition,
     collinearity_defects,
     full_triple_set,
     min_iwr_spanning_tree,
@@ -52,22 +53,15 @@ def _cmd_check(args) -> int:
     req = required_rank(fw.n, fw.d)
 
     if args.mode == "graphical":
-        if fw.d != 2:
-            print("graphical test is planar-only (d = 2)", file=sys.stderr)
-            return 2
-        if fw.n < 3:
-            print("graphical test needs at least 3 vertices", file=sys.stderr)
-            return 2
+        if check_planar_graphical_condition(fw):
+            print("graphical condition: holds")
+            return 0
         if not is_connected(fw.graph):
             print("fails: graph is disconnected")
             return 1
-        defects = collinearity_defects(fw)
-        if defects:
-            for v in defects:
-                print(f"fails at vertex {v}: all incident edges collinear")
-            return 1
-        print("graphical condition: holds")
-        return 0
+        for v in collinearity_defects(fw):
+            print(f"fails at vertex {v}: all incident edges collinear")
+        return 1
 
     if args.mode == "rigid":
         rank = numerical_rank(rigidity_matrix(fw))

@@ -20,11 +20,12 @@ from .framework import (
     Configuration,
     Framework,
     TripleSet,
-    distance_triple,
+    _ConstraintOperator,
     weak_rigidity_function,
     weak_rigidity_matrix,
 )
-from .graphs import Graph, neighbors
+from .graphs import Graph
+from .triples import full_triple_set
 
 
 class Law(enum.Enum):
@@ -70,14 +71,6 @@ class GainMatrix:
     @property
     def d(self) -> int:
         return self.blocks[0].shape[0]
-
-    def full(self) -> np.ndarray:
-        """The (n*d, n*d) block-diagonal gain."""
-        n, d = self.n, self.d
-        k = np.zeros((n * d, n * d))
-        for i, b in enumerate(self.blocks):
-            k[i * d:(i + 1) * d, i * d:(i + 1) * d] = b
-        return k
 
     def stacked(self) -> np.ndarray:
         return np.stack(self.blocks)
@@ -139,14 +132,8 @@ def build_formation_triples(gf: Graph, gs: Graph) -> TripleSet:
     for e in gf.edges:
         if not gs.has_edge(*e):
             raise InputError(f"formation edge {e} missing from the sensing graph")
-    trips = [distance_triple(i, j) for i, j in gf.edges]
-    for i in range(1, gf.n + 1):
-        nb = sorted(neighbors(gf, i))
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                if gs.has_edge(nb[a], nb[b]):
-                    trips.append((i, nb[a], nb[b]))
-    return TripleSet(tuple(sorted(trips)))
+    return TripleSet(tuple((i, j, k) for i, j, k in full_triple_set(gf).triples
+                           if j == k or gs.has_edge(j, k)))
 
 
 def residuals(p: Configuration, tgt: FormationTarget) -> np.ndarray:
@@ -187,27 +174,23 @@ def barred_weak_rigidity_matrix(p: Configuration, tgt: FormationTarget) -> np.nd
     equal to Rbar^T delta: distance rows match R_w, angle rows keep only the
     apex block."""
     tgt.triples.require_valid_for(tgt.graph)
-    ap, l1, l2 = tgt.triples.index_arrays()
-    pts = p.points
-    if pts.shape[0] != tgt.n:
+    if p.n != tgt.n:
         raise InputError("configuration does not match the target size")
-    s = tgt.triples.s
-    e1 = pts[ap] - pts[l1]
-    e2 = pts[ap] - pts[l2]
-    rows = np.arange(s)
-    dist = l1 == l2
-    m = np.zeros((s, tgt.n, p.d))
-    np.add.at(m, (rows, ap), e1 + e2)
-    np.add.at(m, (rows[dist], l1[dist]), -e2[dist])
-    np.add.at(m, (rows[dist], l2[dist]), -e1[dist])
-    return m.reshape(s, tgt.n * p.d)
+    op = _ConstraintOperator.on_vertices(tgt.triples, tgt.n, p.d, barred=True)
+    return op.dense(p.points)
+
+
+def _apply_gain(gain: GainMatrix, m: np.ndarray) -> np.ndarray:
+    """K m for the block-diagonal gain K, applied block by block."""
+    k = gain.stacked()
+    return np.einsum("nij,nj...->ni...", k, m.reshape(gain.n, gain.d, -1)).reshape(m.shape)
 
 
 def nongradient_control(p: Configuration, tgt: FormationTarget,
                         gain: GainMatrix) -> np.ndarray:
     """u = -K Rbar(p)^T delta(p); agent i applies K_i to its local-cost gradient."""
     rb = barred_weak_rigidity_matrix(p, tgt)
-    return -(gain.full() @ (rb.T @ residuals(p, tgt)))
+    return -_apply_gain(gain, rb.T @ residuals(p, tgt))
 
 
 class ControlEvaluator:
@@ -222,26 +205,16 @@ class ControlEvaluator:
         tgt.triples.require_valid_for(tgt.graph)
         self.n = tgt.n
         self.d = tgt.d
-        self._ap, self._l1, self._l2 = tgt.triples.index_arrays()
         self._rstar = tgt.values
         self._gain = spec.gain.stacked() if spec.law is Law.NONGRADIENT else None
-        # one fused scatter per axis: apex rows always contribute through both
-        # edge vectors, leg rows only where the law differentiates through them
-        dist = self._l1 == self._l2
-        s = len(dist)
-        leg_rows = np.nonzero(dist)[0] if self._gain is not None else np.arange(s)
-        self._heads = np.concatenate([self._ap, self._ap])
-        self._tails = np.concatenate([self._l1, self._l2])
-        # rows of the (2s, d) premultiplied edge array feeding the leg entries:
-        # e2 lives at offset s, e1 at offset 0
-        self._leg_sel = np.concatenate([s + leg_rows, leg_rows])
-        self._scatter_idx = np.concatenate(
-            [self._heads, self._l1[leg_rows], self._l2[leg_rows]])
+        # the gradient law scatters through R_w, the non-gradient law through Rbar
+        self._op = _ConstraintOperator.on_vertices(tgt.triples, self.n, self.d,
+                                                   barred=self._gain is not None)
 
     def residuals(self, pts: np.ndarray) -> np.ndarray:
-        e1 = pts[self._ap] - pts[self._l1]
-        e2 = pts[self._ap] - pts[self._l2]
-        return np.einsum("ij,ij->i", e1, e2) - self._rstar
+        edges = self._op.edges(pts)
+        s = self._rstar.size
+        return np.einsum("ij,ij->i", edges[:s], edges[s:]) - self._rstar
 
     def cost(self, pts: np.ndarray) -> float:
         delta = self.residuals(pts)
@@ -254,14 +227,9 @@ class ControlEvaluator:
     def velocity_and_residuals(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Velocity plus the residual vector, sharing the edge-vector work."""
         s = self._rstar.size
-        edges = pts[self._heads] - pts[self._tails]  # e1 rows then e2 rows
+        edges = self._op.edges(pts)
         delta = np.einsum("ij,ij->i", edges[:s], edges[s:]) - self._rstar
-        scaled = edges * np.concatenate([delta, delta])[:, None]
-        weights = np.concatenate([scaled, -scaled[self._leg_sel]])
-        grad = np.empty_like(pts)
-        for axis in range(self.d):
-            grad[:, axis] = np.bincount(self._scatter_idx, weights[:, axis],
-                                        minlength=self.n)
+        grad = self._op.apply_T(edges, delta)
         if self._gain is None:
             return -grad, delta
         return -np.einsum("nij,nj->ni", self._gain, grad), delta
@@ -277,7 +245,7 @@ def jacobian_at_target(tgt: FormationTarget, gain: GainMatrix) -> np.ndarray:
     """K Rbar^T R_w evaluated at the target witness configuration."""
     rw = weak_rigidity_matrix(Framework(tgt.graph, tgt.witness), tgt.triples)
     rb = barred_weak_rigidity_matrix(tgt.witness, tgt)
-    return gain.full() @ (rb.T @ rw)
+    return _apply_gain(gain, rb.T @ rw)
 
 
 def sort_eigenvalues(ev: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ the matching reader.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -159,6 +160,8 @@ def simulation_config_from_dict(obj: dict) -> SimulationConfig:
             raise InputError(f"field 'initial.points': {exc}") from exc
     else:
         perturb = _get(init, "perturb", float, "a perturbation magnitude")
+        if not math.isfinite(perturb):
+            raise InputError("field 'initial.perturb' must be finite")
         seed = _get(init, "seed", int, "an integer seed")
         rng = np.random.default_rng(seed)
         shift = rng.uniform(-perturb, perturb, size=target.witness.points.shape)
@@ -199,25 +202,3 @@ def write_trace_csv(path, trace: SimulationTrace) -> None:
             vals += list(trace.centroid[row])
             out = ",".join(_fmt(v) for v in vals)
             fh.write(f"{out},{int(trace.rank_p[row])}\n")
-
-
-def write_edm_csv(path, d_matrix) -> None:
-    """Row-major squared-distance matrix with vertex labels in the header."""
-    d_matrix = np.asarray(d_matrix, dtype=float)
-    n = d_matrix.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"v{i}" for i in range(1, n + 1)) + "\n")
-        for row in d_matrix:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def write_gram_csv(path, g_matrix, graph: Graph) -> None:
-    """Row-major edge Gram matrix with edge labels in the header."""
-    g_matrix = np.asarray(g_matrix, dtype=float)
-    labels = [f"{i}-{j}" for i, j in graph.edges]
-    if g_matrix.shape != (len(labels), len(labels)):
-        raise InputError("Gram matrix does not match the graph's edge count")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(labels) + "\n")
-        for row in g_matrix:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")

@@ -8,6 +8,7 @@ e_ij = p_i - p_j throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +124,6 @@ class TripleSet:
     def s(self) -> int:
         return len(self.triples)
 
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """0-based (apex, leg1, leg2) arrays, one entry per triple."""
-        ap, l1, l2 = self._idx
-        return ap.copy(), l1.copy(), l2.copy()
-
     def require_valid_for(self, graph: Graph) -> None:
         for i, j, k in self.triples:
             if not graph.has_edge(i, j) or not graph.has_edge(i, k):
@@ -139,31 +135,104 @@ def required_rank(n: int, d: int) -> int:
     return n * d - d * (d + 1) // 2
 
 
+class _ConstraintOperator:
+    """The row scatter behind every constraint Jacobian, compiled once.
+
+    The row of triple (i, j, k) reads e1 = p_i - p_j and e2 = p_i - p_k. Each
+    slot adds sign * e1 or sign * e2 to one column block of one row. Slots are
+    grouped by kind in the order apex·e1, apex·e2, leg j·(-e2), leg k·(-e1).
+    ``np.bincount`` adds in input order, so this order fixes the rounding of
+    every sum, for the dense matrix and for the transposed product alike.
+    """
+
+    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, src, sign):
+        ap, l1, l2 = t._idx
+        self.s, self.d, self.ncols = t.s, d, ncols
+        self._heads = np.concatenate([ap, ap])
+        self._tails = np.concatenate([l1, l2])
+        self._row, self._col = row, col
+        self._src = src  # row of the edge table each slot reads
+        self._sign = sign[:, None]
+
+    @classmethod
+    def on_vertices(cls, t: TripleSet, n: int, d: int, barred: bool = False):
+        """R_w over vertex columns; Rbar when ``barred`` (leg slots on distance rows only)."""
+        ap, l1, l2 = t._idx
+        s = t.s
+        rows = np.arange(s)
+        legs = rows[l1 == l2] if barred else rows
+        return cls(t, d, n,
+                   row=np.concatenate([rows, rows, legs, legs]),
+                   col=np.concatenate([ap, ap, l1[legs], l2[legs]]),
+                   src=np.concatenate([rows, s + rows, s + legs, legs]),
+                   sign=np.concatenate([np.ones(2 * s), np.full(2 * legs.size, -1.0)]))
+
+    @classmethod
+    def on_tree_edges(cls, t: TripleSet, tree: Graph, d: int):
+        """Leg slots only, on the column of the tree edge from the apex to the
+        leg, signed by that edge's incidence orientation."""
+        ap, l1, l2 = t._idx
+        s = t.s
+        rows = np.arange(s)
+        ends = np.array(tree.edges, dtype=int).reshape(-1, 2) - 1
+        apex = np.concatenate([ap, ap])
+        legs = np.concatenate([l1, l2])
+        col = np.searchsorted(ends[:, 0] * tree.n + ends[:, 1],
+                              np.minimum(apex, legs) * tree.n + np.maximum(apex, legs))
+        return cls(t, d, tree.m,
+                   row=np.concatenate([rows, rows]),
+                   col=col,
+                   src=np.concatenate([s + rows, rows]),
+                   sign=np.where(apex > legs, 1.0, -1.0))
+
+    def edges(self, pts: np.ndarray) -> np.ndarray:
+        """(2s, d) edge table: e1 of every row, then e2 of every row."""
+        return pts[self._heads] - pts[self._tails]
+
+    def dense(self, pts: np.ndarray) -> np.ndarray:
+        """The (s, ncols*d) matrix at the (n, d) points."""
+        w = self.edges(pts)[self._src] * self._sign
+        width = self.ncols * self.d
+        cells = ((self._row * self.ncols + self._col) * self.d)[:, None] + np.arange(self.d)
+        return np.bincount(cells.ravel(), w.ravel(),
+                           minlength=self.s * width).reshape(self.s, width)
+
+    @functools.cached_property
+    def _bins(self) -> np.ndarray:
+        return ((self._col * self.d)[:, None] + np.arange(self.d)).ravel()
+
+    def apply_T(self, edges: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(ncols, d) product M^T w, read from the edge table ``edges(pts)``."""
+        wt = edges[self._src] * (self._sign * w[self._row, None])
+        return np.bincount(self._bins, wt.ravel(),
+                           minlength=self.ncols * self.d).reshape(self.ncols, self.d)
+
+
+def _distance_triples(g: Graph) -> TripleSet:
+    """One distance triple per edge, in canonical edge order."""
+    return TripleSet(tuple(distance_triple(i, j) for i, j in g.edges))
+
+
+def _triple_values(p: np.ndarray, t: TripleSet) -> np.ndarray:
+    ap, l1, l2 = t._idx
+    return np.einsum("ij,ij->i", p[ap] - p[l1], p[ap] - p[l2])
+
+
 def rigidity_function(f: Framework) -> np.ndarray:
     """Squared edge lengths in canonical edge order."""
-    p = f.points
-    return np.array([float((p[i - 1] - p[j - 1]) @ (p[i - 1] - p[j - 1]))
-                     for i, j in f.graph.edges])
+    return _triple_values(f.points, _distance_triples(f.graph))
 
 
 def rigidity_matrix(f: Framework) -> np.ndarray:
     """(m, n*d) Jacobian of the squared edge lengths with respect to p."""
-    n, d = f.n, f.d
-    p = f.points
-    r = np.zeros((f.graph.m, n * d))
-    for row, (i, j) in enumerate(f.graph.edges):
-        e = p[i - 1] - p[j - 1]
-        r[row, (i - 1) * d:i * d] = 2.0 * e
-        r[row, (j - 1) * d:j * d] = -2.0 * e
-    return r
+    t = _distance_triples(f.graph)
+    return _ConstraintOperator.on_vertices(t, f.n, f.d).dense(f.points)
 
 
 def weak_rigidity_function(f: Framework, t: TripleSet) -> np.ndarray:
     """Components e_ij^T e_ik in triple order; equals squared length when j == k."""
     t.require_valid_for(f.graph)
-    ap, l1, l2 = t._idx
-    p = f.points
-    return np.einsum("ij,ij->i", p[ap] - p[l1], p[ap] - p[l2])
+    return _triple_values(f.points, t)
 
 
 def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:
@@ -173,16 +242,7 @@ def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:
     k; for j == k the leg contributions accumulate to -2 e_ij^T.
     """
     t.require_valid_for(f.graph)
-    ap, l1, l2 = t._idx
-    p = f.points
-    e1 = p[ap] - p[l1]
-    e2 = p[ap] - p[l2]
-    rows = np.arange(t.s)
-    m = np.zeros((t.s, f.n, f.d))
-    np.add.at(m, (rows, ap), e1 + e2)
-    np.add.at(m, (rows, l1), -e2)
-    np.add.at(m, (rows, l2), -e1)
-    return m.reshape(t.s, f.n * f.d)
+    return _ConstraintOperator.on_vertices(t, f.n, f.d).dense(f.points)
 
 
 def require_spanning_tree(tree: Graph, graph: Graph) -> None:
@@ -214,22 +274,7 @@ def edge_weak_rigidity_matrix(f: Framework, tree: Graph, t: TripleSet) -> np.nda
     t.require_valid_for(f.graph)
     require_spanning_tree(tree, f.graph)
     kept = restrict_triples_to_tree(tree, t)
-    col_of = tree.edge_index()
-    d = f.d
-    p = f.points
-    r = np.zeros((kept.s, tree.m * d))
-
-    def accumulate(row, a, b, vec):
-        col = col_of[(min(a, b), max(a, b))]
-        sign = 1.0 if a > b else -1.0
-        r[row, col * d:(col + 1) * d] += sign * vec
-
-    for row, (i, j, k) in enumerate(kept.triples):
-        eij = p[i - 1] - p[j - 1]
-        eik = p[i - 1] - p[k - 1]
-        accumulate(row, i, j, eik)
-        accumulate(row, i, k, eij)
-    return r
+    return _ConstraintOperator.on_tree_edges(kept, tree, f.d).dense(f.points)
 
 
 def trivial_motion_basis(c: Configuration) -> np.ndarray:

@@ -61,12 +61,14 @@ def weakly_congruent(p: Configuration, q: Configuration, tol: float = 1e-8) -> b
     """
     _require_same_shape(p, q)
 
-    def triple_table(c: Configuration) -> np.ndarray:
-        g = c.points @ c.points.T
-        diag = np.diag(g)
-        return diag[:, None, None] - g[:, None, :] - g[:, :, None] + g[None, :, :]
+    def slab(g: np.ndarray, i: int) -> np.ndarray:
+        # apex i of the (n, n, n) triple table: [j, k] = g_ii - g_ik - g_ij + g_jk
+        return g[i, i] - g[i][None, :] - g[i][:, None] + g
 
-    return float(np.max(np.abs(triple_table(p) - triple_table(q)))) <= tol
+    gp = p.points @ p.points.T
+    gq = q.points @ q.points.T
+    gaps = [np.max(np.abs(slab(gp, i) - slab(gq, i))) for i in range(p.n)]
+    return float(np.max(gaps)) <= tol
 
 
 @dataclass(frozen=True, eq=False)

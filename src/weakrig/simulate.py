@@ -30,14 +30,14 @@ class SimulationConfig:
     stop_cost: float = 1e-12
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise InputError("step h must be positive")
-        if not self.t_max > 0:
-            raise InputError("t_max must be positive")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise InputError("step h must be positive and finite")
+        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+            raise InputError("t_max must be positive and finite")
         if self.record_every < 1:
             raise InputError("record_every must be >= 1")
-        if self.stop_cost < 0:
-            raise InputError("stop_cost must be >= 0")
+        if not (self.stop_cost >= 0 and math.isfinite(self.stop_cost)):
+            raise InputError("stop_cost must be finite and >= 0")
         tgt = self.controller.target
         if self.initial.n != tgt.n or self.initial.d != tgt.d:
             raise InputError("initial configuration does not match the target")

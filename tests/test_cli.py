@@ -206,6 +206,22 @@ class TestSimulate:
         assert summary["termination"] == "diverged"
         assert (tmp_path / "div_trace.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", float("inf")), ("t_max", float("inf")), ("stop_cost", float("nan")),
+        ("perturb", float("inf")),
+    ])
+    def test_non_finite_setting_exits_two(self, tmp_path, capsys, field, value):
+        cfg = {
+            "target": hexagon_target_dict(),
+            "law": "gradient",
+            "initial": {"perturb": 0.1, "seed": 0},
+        }
+        (cfg["initial"] if field == "perturb" else cfg)[field] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))  # writes Infinity / NaN, which json reads back
+        assert main(["simulate", str(cfg_path), str(tmp_path / "x")]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"law": "gradient"}))

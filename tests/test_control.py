@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import EIGS_DESIGNED_GAIN, EIGS_IDENTITY_GAIN
-from helpers import fd_gradient, random_framework, rel_err
+from helpers import (
+    fd_gradient,
+    random_framework,
+    random_triple_subset,
+    reference_barred_weak_rigidity_matrix,
+    reference_velocity_and_residuals,
+    rel_err,
+)
 from weakrig import (
     Configuration,
     ControlEvaluator,
@@ -41,9 +48,19 @@ def triangle_target():
     return FormationTarget(tree, build_formation_triples(tree, K3), witness)
 
 
-def random_target(rng, n=None, d=2):
+def random_target(rng, n=None, d=2, triples=full_triple_set):
     fw = random_framework(rng, n or int(rng.integers(3, 7)), d)
-    return FormationTarget(fw.graph, full_triple_set(fw.graph), fw.config)
+    return FormationTarget(fw.graph, triples(fw.graph), fw.config)
+
+
+def distance_triples(graph):
+    return TripleSet(tuple(distance_triple(i, j) for i, j in graph.edges))
+
+
+def random_triple_choice(rng, trial):
+    """Full set, random subset or distance-only set, in turn."""
+    return (full_triple_set, lambda g: random_triple_subset(rng, g),
+            distance_triples)[trial % 3]
 
 
 def random_gain(rng, n, d):
@@ -147,20 +164,24 @@ class TestGradientControl:
 class TestBarredMatrix:
     def test_equals_weak_matrix_for_distance_triples(self):
         rng = np.random.default_rng(63)
-        fw = random_framework(rng, 5, 2)
-        ts = TripleSet(tuple(distance_triple(i, j) for i, j in fw.graph.edges))
-        tgt = FormationTarget(fw.graph, ts, fw.config)
-        p = Configuration(rng.uniform(-1, 1, (5, 2)))
-        assert np.array_equal(barred_weak_rigidity_matrix(p, tgt),
-                              weak_rigidity_matrix(Framework(fw.graph, p), ts))
+        for d in (2, 3):
+            fw = random_framework(rng, 5, d)
+            ts = distance_triples(fw.graph)
+            tgt = FormationTarget(fw.graph, ts, fw.config)
+            p = Configuration(rng.uniform(-1, 1, (5, d)))
+            rb = barred_weak_rigidity_matrix(p, tgt)
+            assert np.array_equal(rb, weak_rigidity_matrix(Framework(fw.graph, p), ts))
+            assert np.array_equal(rb, reference_barred_weak_rigidity_matrix(p, tgt))
 
     def test_matches_stacked_local_gradients(self):
         rng = np.random.default_rng(64)
-        for _ in range(8):
-            tgt = random_target(rng)
+        for trial in range(12):
+            tgt = random_target(rng, d=2 + trial % 2, triples=random_triple_choice(rng, trial))
             p0 = rng.uniform(-1, 1, (tgt.n, tgt.d))
             p = Configuration(p0)
-            stacked = barred_weak_rigidity_matrix(p, tgt).T @ residuals(p, tgt)
+            rb = barred_weak_rigidity_matrix(p, tgt)
+            assert np.array_equal(rb, reference_barred_weak_rigidity_matrix(p, tgt))
+            stacked = rb.T @ residuals(p, tgt)
             fd = np.concatenate([
                 fd_gradient(
                     lambda x, i=i: local_cost(
@@ -225,6 +246,23 @@ class TestControlEvaluator:
             assert np.allclose(grad_ev.residuals(pts),
                                residuals(p, hexagon_target), atol=1e-14)
             assert grad_ev.cost(pts) == pytest.approx(total_cost(p, hexagon_target))
+
+    def test_matches_reference_scatter_and_dense_laws(self):
+        rng = np.random.default_rng(68)
+        for trial in range(18):
+            tgt = random_target(rng, d=2 + trial % 2, triples=random_triple_choice(rng, trial))
+            gain = random_gain(rng, tgt.n, tgt.d)
+            pts = tgt.witness.points + rng.uniform(-0.5, 0.5, (tgt.n, tgt.d))
+            p = Configuration(pts)
+            for spec, dense in (
+                    (ControllerSpec(Law.GRADIENT, tgt), gradient_control(p, tgt)),
+                    (ControllerSpec(Law.NONGRADIENT, tgt, gain),
+                     nongradient_control(p, tgt, gain))):
+                vel, delta = ControlEvaluator(spec).velocity_and_residuals(pts)
+                ref_vel, ref_delta = reference_velocity_and_residuals(spec, pts)
+                assert np.array_equal(vel, ref_vel)
+                assert np.array_equal(delta, ref_delta)
+                assert rel_err(vel.reshape(-1), dense) < 1e-13
 
     def test_gain_required_for_nongradient(self, hexagon_target):
         with pytest.raises(InputError):

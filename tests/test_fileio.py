@@ -8,9 +8,7 @@ from weakrig import (
     InputError,
     Law,
     SimulationConfig,
-    edm,
     full_triple_set,
-    gram,
     integrate,
 )
 from weakrig import fileio
@@ -163,22 +161,6 @@ class TestCsvWriters:
         assert cols[13:] == ["V", "delta_norm", "minDist", "centX", "centY", "rankP"]
         assert len(lines) == len(trace) + 1
         assert all(len(line.split(",")) == len(cols) for line in lines[1:])
-
-    def test_edm_csv(self, tmp_path, hexagon_config):
-        path = tmp_path / "edm.csv"
-        fileio.write_edm_csv(path, edm(hexagon_config))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == [f"v{i}" for i in range(1, 7)]
-        assert len(lines) == 7
-
-    def test_gram_csv(self, tmp_path, hexagon_framework):
-        path = tmp_path / "gram.csv"
-        fileio.write_gram_csv(path, gram(hexagon_framework), hexagon_framework.graph)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == ["1-2", "1-6", "2-3", "3-4", "4-5"]
-        row0 = lines[1].split(",")
-        assert float(row0[0]) == pytest.approx(4.0)
-        assert float(row0[1]) == pytest.approx(-2.0)
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "eigs.csv"

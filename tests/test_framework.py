@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import fd_jacobian, random_framework, rel_err
+from helpers import (
+    fd_jacobian,
+    random_framework,
+    random_triple_subset,
+    reference_edge_weak_rigidity_matrix,
+    reference_rigidity_matrix,
+    reference_weak_rigidity_matrix,
+    rel_err,
+)
 from weakrig import (
     Configuration,
     DegenerateConfigurationError,
@@ -33,12 +41,6 @@ RIGHT_TRIANGLE = Framework(
     Graph(3, ((1, 2), (1, 3), (2, 3))),
     Configuration(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
 )
-
-
-def random_triple_subset(rng, graph, keep=0.7):
-    full = full_triple_set(graph)
-    kept = tuple(t for t in full.triples if rng.random() < keep)
-    return TripleSet(kept if kept else full.triples[:1])
 
 
 class TestConfiguration:
@@ -128,7 +130,7 @@ class TestWeakRigidityFunction:
         for _ in range(10):
             fw = random_framework(rng, 6, 2)
             ts = TripleSet(tuple(distance_triple(i, j) for i, j in fw.graph.edges))
-            assert np.allclose(weak_rigidity_function(fw, ts), rigidity_function(fw))
+            assert np.array_equal(weak_rigidity_function(fw, ts), rigidity_function(fw))
 
 
 class TestRigidityMatrix:
@@ -145,14 +147,15 @@ class TestRigidityMatrix:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            fw = random_framework(rng, 5, 2)
+        for trial in range(10):
+            fw = random_framework(rng, 5, 2 + trial % 2)
 
             def func(x, g=fw.graph, d=fw.d):
                 return rigidity_function(Framework(g, Configuration.from_stacked(x, d)))
 
             fd = fd_jacobian(func, fw.config.stacked())
             assert rel_err(rigidity_matrix(fw), fd) < 1e-6
+            assert np.array_equal(rigidity_matrix(fw), reference_rigidity_matrix(fw))
 
 
 class TestWeakRigidityMatrix:
@@ -162,6 +165,8 @@ class TestWeakRigidityMatrix:
             fw = random_framework(rng, 6, 3)
             ts = TripleSet(tuple(distance_triple(i, j) for i, j in fw.graph.edges))
             assert np.array_equal(weak_rigidity_matrix(fw, ts), rigidity_matrix(fw))
+            assert np.array_equal(weak_rigidity_matrix(fw, ts),
+                                  reference_weak_rigidity_matrix(fw, ts))
 
     def test_hexagon_full_rank(self, hexagon_framework, hexagon_triples):
         rw = weak_rigidity_matrix(hexagon_framework, hexagon_triples)
@@ -173,8 +178,8 @@ class TestWeakRigidityMatrix:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            fw = random_framework(rng, 6, 2)
+        for trial in range(10):
+            fw = random_framework(rng, 6, 2 + trial % 2)
             ts = random_triple_subset(rng, fw.graph)
 
             def func(x, g=fw.graph, d=fw.d, t=ts):
@@ -182,6 +187,8 @@ class TestWeakRigidityMatrix:
 
             fd = fd_jacobian(func, fw.config.stacked())
             assert rel_err(weak_rigidity_matrix(fw, ts), fd) < 1e-6
+            assert np.array_equal(weak_rigidity_matrix(fw, ts),
+                                  reference_weak_rigidity_matrix(fw, ts))
 
 
 class TestEdgeMatrix:
@@ -208,6 +215,10 @@ class TestEdgeMatrix:
             h_bar = np.kron(incidence(tree), np.eye(fw.d))
             rw = weak_rigidity_matrix(fw, kept)
             assert np.max(np.abs(re @ h_bar - rw)) < 1e-12 * max(1.0, np.max(np.abs(rw)))
+            assert np.array_equal(re, reference_edge_weak_rigidity_matrix(fw, tree, ts))
+            dist = TripleSet(tuple(distance_triple(i, j) for i, j in fw.graph.edges))
+            assert np.array_equal(edge_weak_rigidity_matrix(fw, tree, dist),
+                                  reference_edge_weak_rigidity_matrix(fw, tree, dist))
 
     def test_non_spanning_tree_rejected(self, hexagon_framework):
         not_spanning = Graph(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,38 @@ class TestCongruence:
                 pts[int(rng.integers(0, n))] += rng.uniform(0.01, 0.5, d)
                 q = Configuration(pts)
             assert congruent(p, q) == weakly_congruent(p, q)
+
+    def test_weakly_congruent_matches_full_triple_table(self):
+        # reference: the (n, n, n) table of (p_i-p_j)^T (p_i-p_k) built in one piece
+        def triple_table(c):
+            g = c.points @ c.points.T
+            diag = np.diag(g)
+            return diag[:, None, None] - g[:, None, :] - g[:, :, None] + g[None, :, :]
+
+        rng = np.random.default_rng(45)
+        for trial in range(20):
+            d = 2 + trial % 2
+            n = int(rng.integers(2, 12))
+            p = Configuration(rng.uniform(-1, 1, (n, d)))
+            q = (rigid_transform(rng, p) if trial % 2
+                 else Configuration(p.points + rng.uniform(-1e-3, 1e-3, (n, d))))
+            worst = float(np.max(np.abs(triple_table(p) - triple_table(q))))
+            assert weakly_congruent(p, q, tol=worst)
+            assert not weakly_congruent(p, q, tol=float(np.nextafter(worst, -np.inf)))
+
+    def test_weakly_congruent_memory_is_quadratic(self):
+        rng = np.random.default_rng(46)
+        n = 150
+        p = Configuration(rng.uniform(-1, 1, (n, 2)))
+        q = rigid_transform(rng, p)
+        tracemalloc.start()
+        try:
+            assert weakly_congruent(p, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n^3 table of floats alone would take 27 MB
+        assert peak < 4 * 1024 * 1024
 
 
 class TestAlign:
