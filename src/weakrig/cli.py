@@ -48,20 +48,25 @@ from .triples import (
 DEFAULT_SEED = 42
 
 
+def _planar_failures(fw) -> list[str]:
+    """Planar graphical test: no lines when it holds, else why it fails.
+    Raises DomainError (exit code 2) for d != 2 or n < 3."""
+    if check_planar_graphical_condition(fw):
+        return []
+    if not is_connected(fw.graph):
+        return ["fails: graph is disconnected"]
+    return [f"fails at vertex {v}: all incident edges collinear"
+            for v in collinearity_defects(fw)]
+
+
 def _cmd_check(args) -> int:
     fw = fileio.framework_from_dict(fileio.load_json(args.framework))
     req = required_rank(fw.n, fw.d)
 
     if args.mode == "graphical":
-        if check_planar_graphical_condition(fw):
-            print("graphical condition: holds")
-            return 0
-        if not is_connected(fw.graph):
-            print("fails: graph is disconnected")
-            return 1
-        for v in collinearity_defects(fw):
-            print(f"fails at vertex {v}: all incident edges collinear")
-        return 1
+        failures = _planar_failures(fw)
+        print("\n".join(failures) if failures else "graphical condition: holds")
+        return 1 if failures else 0
 
     if args.mode == "rigid":
         rank = numerical_rank(rigidity_matrix(fw))
@@ -88,15 +93,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_tstar(args) -> int:
     fw = fileio.framework_from_dict(fileio.load_json(args.framework))
-    if fw.d != 2:
-        print("graphical construction is planar-only (d = 2)", file=sys.stderr)
-        return 2
-    if not is_connected(fw.graph):
-        print("fails: graph is disconnected")
-        return 1
-    defects = collinearity_defects(fw)
-    if defects:
-        print(f"fails at vertex {defects[0]}: all incident edges collinear")
+    failures = _planar_failures(fw)
+    if failures:
+        print(failures[0])
         return 1
     try:
         tree = min_iwr_spanning_tree(fw)

@@ -11,6 +11,7 @@ eigenvalues with the rest in the open right half-plane.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,15 @@ class FormationTarget:
     def d(self) -> int:
         return self.witness.d
 
+    @functools.cached_property
+    def _rbar_t_rw(self) -> np.ndarray:
+        """Rbar^T R_w at the witness: the gain-independent, read-only factor of
+        the target Jacobian, formed once per target."""
+        rw = weak_rigidity_matrix(Framework(self.graph, self.witness), self.triples)
+        m = barred_weak_rigidity_matrix(self.witness, self).T @ rw
+        m.setflags(write=False)
+        return m
+
 
 @dataclass(frozen=True, eq=False)
 class ControllerSpec:
@@ -197,7 +207,9 @@ class ControlEvaluator:
     """Precompiled closed-loop evaluator for repeated integration steps.
 
     Produces the same velocities as ``gradient_control``/``nongradient_control``
-    (asserted by the test suite) without rebuilding matrices per call.
+    (asserted by the test suite) without rebuilding matrices per call. One
+    gather yields the edge table and the signed slot vectors; the slots,
+    weighted by the negated residual, scatter straight into -grad V.
     """
 
     def __init__(self, spec: ControllerSpec):
@@ -205,16 +217,30 @@ class ControlEvaluator:
         tgt.triples.require_valid_for(tgt.graph)
         self.n = tgt.n
         self.d = tgt.d
+        self._s = tgt.triples.s
         self._rstar = tgt.values
         self._gain = spec.gain.stacked() if spec.law is Law.NONGRADIENT else None
         # the gradient law scatters through R_w, the non-gradient law through Rbar
         self._op = _ConstraintOperator.on_vertices(tgt.triples, self.n, self.d,
                                                    barred=self._gain is not None)
+        self._row = self._op._row
+        self._bins = ((self._op._col * self.d)[:, None] + np.arange(self.d)).ravel()
+
+    def _velocity_and_negated_residuals(self, pts: np.ndarray):
+        """Velocity and -delta; negating delta before the scatter is exact."""
+        v = self._op.slots(pts)
+        s = self._s
+        neg_delta = self._rstar - np.einsum("ij,ij->i", v[:s], v[s:2 * s])
+        neg_grad = np.bincount(self._bins, (v * neg_delta.take(self._row)[:, None]).ravel(),
+                               minlength=self.n * self.d).reshape(self.n, self.d)
+        if self._gain is None:
+            return neg_grad, neg_delta
+        return np.einsum("nij,nj->ni", self._gain, neg_grad), neg_delta
 
     def residuals(self, pts: np.ndarray) -> np.ndarray:
-        edges = self._op.edges(pts)
-        s = self._rstar.size
-        return np.einsum("ij,ij->i", edges[:s], edges[s:]) - self._rstar
+        v = self._op.slots(pts)
+        s = self._s
+        return np.einsum("ij,ij->i", v[:s], v[s:2 * s]) - self._rstar
 
     def cost(self, pts: np.ndarray) -> float:
         delta = self.residuals(pts)
@@ -222,17 +248,12 @@ class ControlEvaluator:
 
     def velocity(self, pts: np.ndarray) -> np.ndarray:
         """(n, d) agent velocities at the given positions."""
-        return self.velocity_and_residuals(pts)[0]
+        return self._velocity_and_negated_residuals(pts)[0]
 
     def velocity_and_residuals(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Velocity plus the residual vector, sharing the edge-vector work."""
-        s = self._rstar.size
-        edges = self._op.edges(pts)
-        delta = np.einsum("ij,ij->i", edges[:s], edges[s:]) - self._rstar
-        grad = self._op.apply_T(edges, delta)
-        if self._gain is None:
-            return -grad, delta
-        return -np.einsum("nij,nj->ni", self._gain, grad), delta
+        vel, neg_delta = self._velocity_and_negated_residuals(pts)
+        return vel, -neg_delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,9 +264,7 @@ class StabilityReport:
 
 def jacobian_at_target(tgt: FormationTarget, gain: GainMatrix) -> np.ndarray:
     """K Rbar^T R_w evaluated at the target witness configuration."""
-    rw = weak_rigidity_matrix(Framework(tgt.graph, tgt.witness), tgt.triples)
-    rb = barred_weak_rigidity_matrix(tgt.witness, tgt)
-    return _apply_gain(gain, rb.T @ rw)
+    return _apply_gain(gain, tgt._rbar_t_rw)
 
 
 def sort_eigenvalues(ev: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ e_ij = p_i - p_j throughout.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,17 +141,18 @@ class _ConstraintOperator:
     slot adds sign * e1 or sign * e2 to one column block of one row. Slots are
     grouped by kind in the order apex·e1, apex·e2, leg j·(-e2), leg k·(-e1).
     ``np.bincount`` adds in input order, so this order fixes the rounding of
-    every sum, for the dense matrix and for the transposed product alike.
+    every sum.
+
+    A slot with sign -1 reads its edge with head and tail swapped, which is
+    exact, so one gather of ``_idx`` and one subtraction give every signed
+    slot vector. On vertex columns the first 2s slots are the e1 and e2 table.
     """
 
-    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, src, sign):
-        ap, l1, l2 = t._idx
+    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail, neg):
         self.s, self.d, self.ncols = t.s, d, ncols
-        self._heads = np.concatenate([ap, ap])
-        self._tails = np.concatenate([l1, l2])
         self._row, self._col = row, col
-        self._src = src  # row of the edge table each slot reads
-        self._sign = sign[:, None]
+        # slot vectors are pts[_idx[:K]] - pts[_idx[K:]]
+        self._idx = np.concatenate([np.where(neg, tail, head), np.where(neg, head, tail)])
 
     @classmethod
     def on_vertices(cls, t: TripleSet, n: int, d: int, barred: bool = False):
@@ -164,16 +164,16 @@ class _ConstraintOperator:
         return cls(t, d, n,
                    row=np.concatenate([rows, rows, legs, legs]),
                    col=np.concatenate([ap, ap, l1[legs], l2[legs]]),
-                   src=np.concatenate([rows, s + rows, s + legs, legs]),
-                   sign=np.concatenate([np.ones(2 * s), np.full(2 * legs.size, -1.0)]))
+                   head=np.concatenate([ap, ap, ap[legs], ap[legs]]),
+                   tail=np.concatenate([l1, l2, l2[legs], l1[legs]]),
+                   neg=np.arange(2 * s + 2 * legs.size) >= 2 * s)
 
     @classmethod
     def on_tree_edges(cls, t: TripleSet, tree: Graph, d: int):
         """Leg slots only, on the column of the tree edge from the apex to the
         leg, signed by that edge's incidence orientation."""
         ap, l1, l2 = t._idx
-        s = t.s
-        rows = np.arange(s)
+        rows = np.arange(t.s)
         ends = np.array(tree.edges, dtype=int).reshape(-1, 2) - 1
         apex = np.concatenate([ap, ap])
         legs = np.concatenate([l1, l2])
@@ -182,30 +182,21 @@ class _ConstraintOperator:
         return cls(t, d, tree.m,
                    row=np.concatenate([rows, rows]),
                    col=col,
-                   src=np.concatenate([s + rows, rows]),
-                   sign=np.where(apex > legs, 1.0, -1.0))
+                   head=apex,
+                   tail=np.concatenate([l2, l1]),
+                   neg=apex < legs)
 
-    def edges(self, pts: np.ndarray) -> np.ndarray:
-        """(2s, d) edge table: e1 of every row, then e2 of every row."""
-        return pts[self._heads] - pts[self._tails]
+    def slots(self, pts: np.ndarray) -> np.ndarray:
+        """(K, d) signed slot vectors at the (n, d) points."""
+        g = pts.take(self._idx, axis=0)
+        return g[:self._row.size] - g[self._row.size:]
 
     def dense(self, pts: np.ndarray) -> np.ndarray:
         """The (s, ncols*d) matrix at the (n, d) points."""
-        w = self.edges(pts)[self._src] * self._sign
         width = self.ncols * self.d
         cells = ((self._row * self.ncols + self._col) * self.d)[:, None] + np.arange(self.d)
-        return np.bincount(cells.ravel(), w.ravel(),
+        return np.bincount(cells.ravel(), self.slots(pts).ravel(),
                            minlength=self.s * width).reshape(self.s, width)
-
-    @functools.cached_property
-    def _bins(self) -> np.ndarray:
-        return ((self._col * self.d)[:, None] + np.arange(self.d)).ravel()
-
-    def apply_T(self, edges: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(ncols, d) product M^T w, read from the edge table ``edges(pts)``."""
-        wt = edges[self._src] * (self._sign * w[self._row, None])
-        return np.bincount(self._bins, wt.ravel(),
-                           minlength=self.ncols * self.d).reshape(self.ncols, self.d)
 
 
 def _distance_triples(g: Graph) -> TripleSet:

@@ -6,16 +6,20 @@ RANK_RTOL = 1e-10
 COLLINEAR_RTOL = 1e-9
 
 
-def numerical_rank(m) -> int:
-    """Count singular values above ``max(shape) * smax * 1e-10`` (floor 1e-12)."""
+def numerical_rank(m):
+    """Count singular values above ``max(shape) * smax * 1e-10`` (floor 1e-12).
+
+    A stack of matrices, shape (..., r, c), gets one rank per matrix from a
+    single stacked SVD, returned as an int array.
+    """
     a = np.asarray(m, dtype=float)
     if a.size == 0:
-        return 0
+        return 0 if a.ndim <= 2 else np.zeros(a.shape[:-2], dtype=np.intp)
     s = np.linalg.svd(a, compute_uv=False)
-    tol = max(a.shape) * s[0] * RANK_RTOL
-    if tol == 0.0:
-        tol = 1e-12
-    return int(np.count_nonzero(s > tol))
+    tol = max(a.shape[-2:]) * s[..., :1] * RANK_RTOL
+    tol[tol == 0.0] = 1e-12
+    ranks = np.count_nonzero(s > tol, axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def are_collinear(u, v) -> bool:

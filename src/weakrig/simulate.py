@@ -18,6 +18,7 @@ from .framework import Configuration
 from .linalg import numerical_rank
 
 COLLISION_THRESHOLD = 1e-9
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +39,16 @@ class SimulationConfig:
             raise InputError("record_every must be >= 1")
         if not (self.stop_cost >= 0 and math.isfinite(self.stop_cost)):
             raise InputError("stop_cost must be finite and >= 0")
+        if self.t_max / self.h - 1e-9 > MAX_STEPS:
+            raise InputError(f"t_max / h asks for {self.t_max / self.h:.6g} RK4 steps; "
+                             f"the limit is {MAX_STEPS}")
         tgt = self.controller.target
         if self.initial.n != tgt.n or self.initial.d != tgt.d:
             raise InputError("initial configuration does not match the target")
+
+    @property
+    def n_steps(self) -> int:
+        return max(1, math.ceil(self.t_max / self.h - 1e-9))
 
 
 @dataclass(eq=False)
@@ -97,7 +105,7 @@ class _Recorder:
         iu = np.triu_indices(pos.shape[1], k=1)
         min_dist = (dists[:, iu[0], iu[1]].min(axis=1)
                     if iu[0].size else np.full(nsamp, np.inf))
-        ranks = np.array([numerical_rank(p) for p in pos])
+        ranks = numerical_rank(pos)
         return SimulationTrace(
             times=np.array(self.times),
             positions=pos,
@@ -123,7 +131,7 @@ def integrate(cfg: SimulationConfig) -> SimulationTrace:
     rec = _Recorder(cfg.controller.target.graph.edges)
     pts = cfg.initial.points.copy()
     h = cfg.h
-    n_steps = max(1, int(math.ceil(cfg.t_max / h - 1e-9)))
+    n_steps = cfg.n_steps
 
     # the velocity at the current state doubles as the next step's first stage
     vel, delta = ev.velocity_and_residuals(pts)
@@ -140,7 +148,7 @@ def integrate(cfg: SimulationConfig) -> SimulationTrace:
         k4 = ev.velocity(pts + h * k3)
         pts = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = step * h
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise DivergenceError(
                 f"state became non-finite at t = {t:.6g}", rec.build("diverged")
             )

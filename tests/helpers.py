@@ -1,5 +1,7 @@
 """Shared generators and finite-difference oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from weakrig import (
@@ -185,3 +187,46 @@ def reference_velocity_and_residuals(spec, pts):
     if gain is None:
         return -grad, delta
     return -np.einsum("nij,nj->ni", gain, grad), delta
+
+
+def reference_integrate(cfg):
+    """Classical RK4 over ``reference_velocity_and_residuals``, recording like
+    ``integrate``: every record_every-th step, the last step, and the stop.
+
+    Returns (times, positions, residuals, costs, termination) as arrays.
+    """
+    spec = cfg.controller
+    h = cfg.h
+    n_steps = max(1, int(math.ceil(cfg.t_max / h - 1e-9)))
+    times, positions, residuals, costs = [], [], [], []
+
+    def record(t, pts, delta, cost):
+        times.append(t)
+        positions.append(pts.copy())
+        residuals.append(delta.copy())
+        costs.append(cost)
+
+    def finish(termination):
+        return (np.array(times), np.array(positions), np.array(residuals),
+                np.array(costs), termination)
+
+    pts = cfg.initial.points.copy()
+    vel, delta = reference_velocity_and_residuals(spec, pts)
+    cost = 0.5 * float(delta @ delta)
+    record(0.0, pts, delta, cost)
+    if cost < cfg.stop_cost:
+        return finish("stop_cost")
+    for step in range(1, n_steps + 1):
+        k1 = vel
+        k2 = reference_velocity_and_residuals(spec, pts + 0.5 * h * k1)[0]
+        k3 = reference_velocity_and_residuals(spec, pts + 0.5 * h * k2)[0]
+        k4 = reference_velocity_and_residuals(spec, pts + h * k3)[0]
+        pts = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        vel, delta = reference_velocity_and_residuals(spec, pts)
+        cost = 0.5 * float(delta @ delta)
+        if cost < cfg.stop_cost:
+            record(step * h, pts, delta, cost)
+            return finish("stop_cost")
+        if step % cfg.record_every == 0 or step == n_steps:
+            record(step * h, pts, delta, cost)
+    return finish("t_max")

@@ -104,6 +104,25 @@ class TestTstar:
         assert main(["tstar", str(path), str(tmp_path / "out.json")]) == 2
         assert "planar-only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["tstar", "check"])
+    def test_two_vertices_exit_two(self, tmp_path, capsys, command):
+        obj = {"n": 2, "edges": [[1, 2]], "d": 2, "points": [[0.0, 0.0], [1.0, 0.0]]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(obj))
+        argv = ([command, str(path), str(tmp_path / "out.json")] if command == "tstar"
+                else [command, str(path), "--mode", "graphical"])
+        assert main(argv) == 2
+        assert "at least 3 vertices" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_disconnected_graph_fails(self, tmp_path, capsys):
+        obj = {"n": 4, "edges": [[1, 2], [3, 4]], "d": 2,
+               "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(obj))
+        assert main(["tstar", str(path), str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().out == "fails: graph is disconnected\n"
+
 
 class TestJacobian:
     def test_identity_gain_unstable(self, target_file, tmp_path, capsys):
@@ -221,6 +240,19 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(cfg))  # writes Infinity / NaN, which json reads back
         assert main(["simulate", str(cfg_path), str(tmp_path / "x")]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_overlong_run_exits_two(self, tmp_path, capsys):
+        cfg = {
+            "target": hexagon_target_dict(),
+            "law": "gradient",
+            "initial": {"perturb": 0.1, "seed": 0},
+            "h": 0.01, "t_max": 1e12, "stop_cost": 0.0,
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(cfg_path), str(tmp_path / "x")]) == 2
+        assert "1e+14 RK4 steps" in capsys.readouterr().err
+        assert not (tmp_path / "x_trace.csv").exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

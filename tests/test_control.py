@@ -270,6 +270,21 @@ class TestControlEvaluator:
 
 
 class TestJacobianEigenvalues:
+    def test_cached_factor_is_read_only_and_exact(self):
+        rng = np.random.default_rng(69)
+        for trial in range(6):
+            tgt = random_target(rng, d=2 + trial % 2, triples=random_triple_choice(rng, trial))
+            gain = random_gain(rng, tgt.n, tgt.d)
+            rw = weak_rigidity_matrix(Framework(tgt.graph, tgt.witness), tgt.triples)
+            rb = barred_weak_rigidity_matrix(tgt.witness, tgt)
+            uncached = np.einsum("nij,nj...->ni...", gain.stacked(),
+                                 (rb.T @ rw).reshape(tgt.n, tgt.d, -1)).reshape(rw.shape[1], -1)
+            assert np.array_equal(jacobian_at_target(tgt, gain), uncached)
+            assert tgt._rbar_t_rw is tgt._rbar_t_rw
+            assert not tgt._rbar_t_rw.flags.writeable
+            with pytest.raises(ValueError):
+                tgt._rbar_t_rw[0, 0] = 1.0
+
     def test_identity_gain_reproduces_published_list(self, hexagon_target):
         j = jacobian_at_target(hexagon_target, GainMatrix.identity(6, 2))
         got = sort_eigenvalues(np.linalg.eigvals(j))

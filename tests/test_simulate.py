@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from test_control import triangle_target
+from helpers import reference_integrate
+from test_control import random_target, triangle_target
 from weakrig import (
     Configuration,
     ControllerSpec,
@@ -14,8 +15,10 @@ from weakrig import (
     convergence_rate,
     integrate,
     monitor_invariants,
+    numerical_rank,
     shape_distance,
 )
+from weakrig.simulate import MAX_STEPS
 
 
 def hexagon_run_config(target, gain, seed, **kwargs):
@@ -54,6 +57,17 @@ class TestConfigValidation:
         spec = ControllerSpec(Law.GRADIENT, hexagon_target)
         with pytest.raises(InputError):
             SimulationConfig(Configuration(np.zeros((3, 2))), spec)
+
+    def test_step_count_is_bounded(self, hexagon_target):
+        spec = ControllerSpec(Law.GRADIENT, hexagon_target)
+        start = hexagon_target.witness
+        assert SimulationConfig(start, spec, h=0.01, t_max=1e5).n_steps == MAX_STEPS
+        with pytest.raises(InputError, match="1e\\+07 RK4 steps"):
+            SimulationConfig(start, spec, h=0.01, t_max=1e5 + 0.01)
+        with pytest.raises(InputError, match="1e\\+14 RK4 steps"):
+            SimulationConfig(start, spec, h=0.01, t_max=1e12)
+        with pytest.raises(InputError, match="inf RK4 steps"):
+            SimulationConfig(start, spec, h=5e-324, t_max=1e300)
 
 
 class TestIntegrate:
@@ -148,6 +162,49 @@ class TestIntegrate:
         assert trace.termination == "diverged"
         assert len(trace) >= 1
         assert np.all(np.isfinite(trace.positions))
+
+
+    @pytest.mark.parametrize("case", ["hexagon_nongradient", "triangle_gradient",
+                                      "random_3d_gradient"])
+    def test_matches_reference_rk4(self, case, hexagon_target, designed_gain):
+        if case == "hexagon_nongradient":
+            cfg = hexagon_run_config(hexagon_target, designed_gain, seed=11, t_max=1.0,
+                                     record_every=3)
+        elif case == "triangle_gradient":
+            cfg, _ = triangle_run_config(seed=12, t_max=20.0, stop_cost=1e-6)
+        else:
+            rng = np.random.default_rng(13)
+            tgt = random_target(rng, n=5, d=3)
+            start = Configuration(tgt.witness.points + rng.uniform(-0.2, 0.2, (5, 3)))
+            cfg = SimulationConfig(start, ControllerSpec(Law.GRADIENT, tgt),
+                                   t_max=0.5, record_every=1)
+        trace = integrate(cfg)
+        times, positions, residuals, costs, termination = reference_integrate(cfg)
+        assert trace.termination == termination
+        assert np.array_equal(trace.times, times)
+        assert np.array_equal(trace.positions, positions)
+        assert np.array_equal(trace.residuals, residuals)
+        assert np.array_equal(trace.cost, costs)
+        if case == "triangle_gradient":
+            assert termination == "stop_cost"
+
+
+class TestStackedRank:
+    def test_matches_per_sample_rank(self):
+        rng = np.random.default_rng(21)
+        stack = rng.uniform(-1.0, 1.0, (30, 6, 2))
+        stack[4] = 0.0
+        stack[9] = np.outer(rng.uniform(-1.0, 1.0, 6), [0.6, -0.8])
+        stack[17, :, 1] = 1e-13 * stack[17, :, 0]
+        ranks = numerical_rank(stack)
+        assert ranks.tolist() == [numerical_rank(p) for p in stack]
+        assert (ranks[4], ranks[9], ranks[17]) == (0, 1, 1)
+        assert numerical_rank(stack.reshape(5, 6, 6, 2)).tolist() == ranks.reshape(5, 6).tolist()
+
+    def test_trace_rank_matches_per_sample_rank(self, hexagon_target, designed_gain):
+        trace = integrate(hexagon_run_config(hexagon_target, designed_gain, seed=3,
+                                             t_max=1.0))
+        assert trace.rank_p.tolist() == [numerical_rank(p) for p in trace.positions]
 
 
 class TestConvergenceRate:
