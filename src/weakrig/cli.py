@@ -26,10 +26,8 @@ from .errors import (
     NoValidExtensionError,
 )
 from .framework import (
-    check_iwr_via_spanning_tree,
+    _require_enough_points,
     edge_weak_rigidity_matrix,
-    is_infinitesimally_rigid,
-    is_infinitesimally_weakly_rigid,
     required_rank,
     rigidity_matrix,
     weak_rigidity_matrix,
@@ -68,24 +66,29 @@ def _cmd_check(args) -> int:
         print("\n".join(failures) if failures else "graphical condition: holds")
         return 1 if failures else 0
 
+    # each mode builds its matrix once and compares its rank to required_rank,
+    # as is_infinitesimally_rigid, is_infinitesimally_weakly_rigid and
+    # check_iwr_via_spanning_tree do
     if args.mode == "rigid":
+        _require_enough_points(fw.n, fw.d)
         rank = numerical_rank(rigidity_matrix(fw))
-        ok = is_infinitesimally_rigid(fw)
+        ok = rank == req
         print(f"infinitesimally rigid: {'yes' if ok else 'no'} (rank {rank}/{req})")
         return 0 if ok else 1
 
     triples = (fileio.triples_from_dict(fileio.load_json(args.triples))
                if args.triples else full_triple_set(fw.graph))
     if args.mode == "weak":
-        ok = is_infinitesimally_weakly_rigid(fw, triples)
+        _require_enough_points(fw.n, fw.d)
         rank = numerical_rank(weak_rigidity_matrix(fw, triples))
+        ok = rank == req
         print(f"IWR: {'yes' if ok else 'no'} (rank {rank}/{req})")
         return 0 if ok else 1
 
     # mode == "tree": sufficient test on the BFS spanning tree
     tree = spanning_tree(fw.graph)
-    ok = check_iwr_via_spanning_tree(fw, tree, triples)
     rank = numerical_rank(edge_weak_rigidity_matrix(fw, tree, triples))
+    ok = rank == req
     note = "" if ok else "; inconclusive for d >= 3"
     print(f"IWR via spanning tree: {'yes' if ok else 'no'} (rank {rank}/{req}{note})")
     return 0 if ok else 1

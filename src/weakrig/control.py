@@ -139,11 +139,12 @@ def build_formation_triples(gf: Graph, gs: Graph) -> TripleSet:
     the legs can sense each other (j = k or (j, k) a sensing edge)."""
     if gf.n != gs.n:
         raise InputError("formation and sensing graphs must share the vertex set")
-    for e in gf.edges:
-        if not gs.has_edge(*e):
-            raise InputError(f"formation edge {e} missing from the sensing graph")
-    return TripleSet(tuple((i, j, k) for i, j, k in full_triple_set(gf).triples
-                           if j == k or gs.has_edge(j, k)))
+    missing = gs._edge_ids(*gf._ends) < 0
+    if missing.any():
+        raise InputError(f"formation edge {gf.edges[missing.argmax()]} missing from the sensing graph")
+    full = full_triple_set(gf)
+    _, l1, l2 = full._idx
+    return TripleSet(full._arr[(l1 == l2) | (gs._edge_ids(l1, l2) >= 0)])
 
 
 def residuals(p: Configuration, tgt: FormationTarget) -> np.ndarray:

@@ -8,6 +8,7 @@ e_ij = p_i - p_j throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,47 +87,90 @@ def distance_triple(i: int, j: int) -> tuple[int, int, int]:
     return (max(i, j), min(i, j), min(i, j))
 
 
-@dataclass(frozen=True)
 class TripleSet:
     """Ordered constraint triples; order fixes the component order of the
-    constraint function and the rows of the weak rigidity matrix."""
+    constraint function and the rows of the weak rigidity matrix.
 
-    triples: tuple[tuple[int, int, int], ...]
+    Built from a sequence of (i, j, k) triples or an (s, 3) integer array and
+    immutable. A set is invalid if a triple has legs out of order (j > k), an
+    apex equal to a leg, or repeats an earlier constraint (a distance triple
+    stands for its unordered edge); the error names the first such triple.
+    """
 
-    def __post_init__(self):
-        canon = []
-        seen = set()
-        for t in self.triples:
-            trip = tuple(int(v) for v in t)
-            if len(trip) != 3:
-                raise InputError(f"triple {t!r} is not an (i, j, k) triple")
-            i, j, k = trip
-            if j > k:
-                raise InputError(f"triple ({i},{j},{k}) must have legs ordered j <= k")
-            if i == j or i == k:
-                raise InputError(f"triple ({i},{j},{k}) apex equals a leg")
-            key = ("d", min(i, j), max(i, j)) if j == k else ("a", i, j, k)
-            if key in seen:
-                raise InputError(f"duplicate constraint ({i},{j},{k})")
-            seen.add(key)
-            canon.append(trip)
-        object.__setattr__(self, "triples", tuple(canon))
-        if canon:
-            arr = np.array(canon, dtype=int) - 1
-            idx = (arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
+    def __init__(self, triples):
+        err = None
+        if (isinstance(triples, np.ndarray) and triples.dtype.kind in "iu"
+                and triples.ndim == 2 and triples.shape[1] == 3):
+            arr = triples.astype(np.int64)
         else:
-            z = np.zeros(0, dtype=int)
-            idx = (z, z.copy(), z.copy())
-        object.__setattr__(self, "_idx", idx)
+            rows = []
+            for t in triples:
+                try:
+                    trip = tuple(int(v) for v in t)
+                    if len(trip) != 3:
+                        raise InputError(f"triple {t!r} is not an (i, j, k) triple")
+                except (TypeError, ValueError, OverflowError) as exc:
+                    err = exc  # raised once the triples before it pass
+                    break
+                rows.append(trip)
+            arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            self.__dict__["triples"] = tuple(rows)
+        _require_valid_triples(arr)
+        if err is not None:
+            raise err
+        arr.setflags(write=False)
+        self.__dict__["_arr"] = arr
+        self.__dict__["_idx"] = tuple(arr[:, c] - 1 for c in range(3))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TripleSet is immutable")
+
+    @functools.cached_property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self._arr.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, TripleSet):
+            return NotImplemented
+        return np.array_equal(self._arr, other._arr)
+
+    def __hash__(self):
+        return hash(self._arr.tobytes())
+
+    def __repr__(self):
+        return f"TripleSet(triples={self.triples!r})"
 
     @property
     def s(self) -> int:
-        return len(self.triples)
+        return self._arr.shape[0]
 
     def require_valid_for(self, graph: Graph) -> None:
-        for i, j, k in self.triples:
-            if not graph.has_edge(i, j) or not graph.has_edge(i, k):
-                raise InputError(f"triple ({i},{j},{k}) references a non-edge")
+        ap, l1, l2 = self._idx
+        bad = (graph._edge_ids(ap, l1) < 0) | (graph._edge_ids(ap, l2) < 0)
+        if bad.any():
+            i, j, k = self._arr[bad.argmax()]
+            raise InputError(f"triple ({i},{j},{k}) references a non-edge")
+
+
+def _require_valid_triples(arr: np.ndarray) -> None:
+    """Raise for the first triple of the (s, 3) array, in row order, that has
+    legs out of order, an apex equal to a leg, or an earlier duplicate."""
+    i, j, k = arr.T
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # a distance triple stands for its edge, so compare it in the canonical form
+    key = np.where((j == k)[:, None], np.stack([hi, lo, lo], axis=1), arr)
+    order = np.lexsort(key.T[::-1])  # stable: the first of equal keys comes first
+    ks = key[order]
+    dup = np.zeros(arr.shape[0], dtype=bool)
+    dup[order[1:]] = (ks[1:] == ks[:-1]).all(axis=1)
+    checks = ((j > k, "triple ({},{},{}) must have legs ordered j <= k"),
+              ((i == j) | (i == k), "triple ({},{},{}) apex equals a leg"),
+              (dup, "duplicate constraint ({},{},{})"))
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if failing.any():
+        row = failing.argmax()
+        msg = next(text for bad, text in checks if bad[row])
+        raise InputError(msg.format(*arr[row]))
 
 
 def required_rank(n: int, d: int) -> int:
@@ -174,14 +218,11 @@ class _ConstraintOperator:
         leg, signed by that edge's incidence orientation."""
         ap, l1, l2 = t._idx
         rows = np.arange(t.s)
-        ends = np.array(tree.edges, dtype=int).reshape(-1, 2) - 1
         apex = np.concatenate([ap, ap])
         legs = np.concatenate([l1, l2])
-        col = np.searchsorted(ends[:, 0] * tree.n + ends[:, 1],
-                              np.minimum(apex, legs) * tree.n + np.maximum(apex, legs))
         return cls(t, d, tree.m,
                    row=np.concatenate([rows, rows]),
-                   col=col,
+                   col=tree._edge_ids(apex, legs),
                    head=apex,
                    tail=np.concatenate([l2, l1]),
                    neg=apex < legs)
@@ -201,7 +242,8 @@ class _ConstraintOperator:
 
 def _distance_triples(g: Graph) -> TripleSet:
     """One distance triple per edge, in canonical edge order."""
-    return TripleSet(tuple(distance_triple(i, j) for i, j in g.edges))
+    a, b = g._ends
+    return TripleSet(np.stack([b, a, a], axis=1) + 1)
 
 
 def _triple_values(p: np.ndarray, t: TripleSet) -> np.ndarray:
@@ -241,16 +283,15 @@ def require_spanning_tree(tree: Graph, graph: Graph) -> None:
         raise DomainError("tree and graph must share the vertex set")
     if tree.m != graph.n - 1 or not is_connected(tree):
         raise DomainError("not a spanning tree: need n-1 edges forming one component")
-    for e in tree.edges:
-        if e not in graph._edge_set:
-            raise DomainError(f"tree edge {e} is not an edge of the graph")
+    missing = graph._edge_ids(*tree._ends) < 0
+    if missing.any():
+        raise DomainError(f"tree edge {tree.edges[missing.argmax()]} is not an edge of the graph")
 
 
 def restrict_triples_to_tree(tree: Graph, t: TripleSet) -> TripleSet:
     """Keep triples whose two defining edges both lie in the tree."""
-    kept = [trip for trip in t.triples
-            if tree.has_edge(trip[0], trip[1]) and tree.has_edge(trip[0], trip[2])]
-    return TripleSet(tuple(kept))
+    ap, l1, l2 = t._idx
+    return TripleSet(t._arr[(tree._edge_ids(ap, l1) >= 0) & (tree._edge_ids(ap, l2) >= 0)])
 
 
 def edge_weak_rigidity_matrix(f: Framework, tree: Graph, t: TripleSet) -> np.ndarray:

@@ -43,18 +43,29 @@ class Graph:
             adj[i].append(j)
             adj[j].append(i)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
+        # 0-based ends of the canonical edges, and the key a*n + b of edge (a, b),
+        # ascending because the edges are sorted
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T - 1
+        keys = ends[0] * self.n + ends[1]
+        ends.setflags(write=False)
+        keys.setflags(write=False)
+        object.__setattr__(self, "_ends", tuple(ends))
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._edge_set
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map canonical edge -> row/column position in the canonical order."""
-        return {e: idx for idx, e in enumerate(self.edges)}
+    def _edge_ids(self, u, v) -> np.ndarray:
+        """Canonical edge index of each pair of 0-based ends, in either order,
+        or -1 where the pair is not an edge (ends outside 0..n-1 included)."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = lo * self.n + hi
+        if not self.m:
+            return np.full(key.shape, -1)
+        pos = np.searchsorted(self._keys, key)
+        hit = (lo >= 0) & (lo < hi) & (hi < self.n) & (self._keys.take(pos, mode="clip") == key)
+        return np.where(hit, pos, -1)
 
 
 def neighbors(g: Graph, i: int) -> set[int]:

@@ -146,21 +146,21 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     top_v = v[:, -d:] if d <= m else np.hstack([np.zeros((m, d - m)), v])
     e = (np.sqrt(top_w)[:, None]) * top_v.T  # (d, m), columns are edge vectors
 
-    col_of = graph.edge_index()
     pts = np.zeros((graph.n, d))
     known = {1}
     tree = spanning_tree(graph)
+    cols = graph._edge_ids(*tree._ends).tolist()
     adj = {i: [] for i in range(1, graph.n + 1)}
-    for a, b in tree.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    for (a, b), c in zip(tree.edges, cols):
+        adj[a].append((b, c))
+        adj[b].append((a, c))
     stack = [1]
     while stack:
         u = stack.pop()
-        for vtx in adj[u]:
+        for vtx, c in adj[u]:
             if vtx in known:
                 continue
-            col = e[:, col_of[(min(u, vtx), max(u, vtx))]]
+            col = e[:, c]
             # column holds p_min - p_max for the canonical orientation
             pts[vtx - 1] = pts[u - 1] - col if u < vtx else pts[u - 1] + col
             known.add(vtx)

@@ -19,6 +19,7 @@ from .linalg import numerical_rank
 
 COLLISION_THRESHOLD = 1e-9
 MAX_STEPS = 10**7
+_PAIR_BLOCK = 2**16  # vertex pairs per block of the minimum-distance pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +97,15 @@ class _Recorder:
         pos = np.array(self.positions)
         res = np.array(self.residuals)
         costs = np.array(self.costs)
-        nsamp = pos.shape[0]
-        elens = np.zeros((nsamp, len(self._edges)))
-        for col, (i, j) in enumerate(self._edges):
-            elens[:, col] = np.linalg.norm(pos[:, i - 1] - pos[:, j - 1], axis=1)
-        diff = pos[:, :, None, :] - pos[:, None, :, :]
-        dists = np.sqrt(np.einsum("tijk,tijk->tij", diff, diff))
+        ends = np.array(self._edges, dtype=int).reshape(-1, 2) - 1
+        elens = np.linalg.norm(pos[:, ends[:, 0]] - pos[:, ends[:, 1]], axis=2)
+        # the n(n-1)/2 vertex pairs i < j, in blocks of samples of bounded size
         iu = np.triu_indices(pos.shape[1], k=1)
-        min_dist = (dists[:, iu[0], iu[1]].min(axis=1)
-                    if iu[0].size else np.full(nsamp, np.inf))
+        min_dist = np.full(pos.shape[0], np.inf)
+        block = max(1, _PAIR_BLOCK // max(1, iu[0].size))
+        for lo in range(0, pos.shape[0] if iu[0].size else 0, block):
+            diff = pos[lo:lo + block, iu[0]] - pos[lo:lo + block, iu[1]]
+            min_dist[lo:lo + block] = np.sqrt(np.einsum("tpk,tpk->tp", diff, diff)).min(axis=1)
         ranks = numerical_rank(pos)
         return SimulationTrace(
             times=np.array(self.times),

@@ -32,14 +32,25 @@ from .linalg import are_collinear
 
 def full_triple_set(g: Graph) -> TripleSet:
     """Every admissible triple: one canonical distance constraint per edge plus
-    all angle constraints (i, j, k), j < k, with both legs incident to i."""
-    trips = [distance_triple(i, j) for i, j in g.edges]
-    for i in range(1, g.n + 1):
-        nb = sorted(neighbors(g, i))
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                trips.append((i, nb[a], nb[b]))
-    return TripleSet(tuple(sorted(trips)))
+    all angle constraints (i, j, k), j < k, with both legs incident to i;
+    sorted lexicographically."""
+    a, b = g._ends
+    # adjacency in CSR form: each vertex's neighbors ascending, vertices ascending
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    nbr = dst[np.lexsort((dst, src))]
+    deg = np.bincount(src, minlength=g.n)
+    start = np.cumsum(deg) - deg
+    rows = [np.stack([b, a, a], axis=1)]
+    degrees = np.flatnonzero(np.bincount(deg))  # the distinct degrees, ascending
+    for k in degrees[degrees >= 2]:
+        # every vertex of degree k pairs its neighbors the same way
+        verts = np.flatnonzero(deg == k)
+        first, second = np.triu_indices(k, 1)
+        base = start[verts][:, None]
+        rows.append(np.stack([np.repeat(verts, first.size), nbr[base + first].ravel(),
+                              nbr[base + second].ravel()], axis=1))
+    trips = np.concatenate(rows)
+    return TripleSet(trips[np.lexsort(trips.T[::-1])] + 1)
 
 
 def collinearity_defects(f: Framework) -> list[int]:

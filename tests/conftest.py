@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    settings = None
+
 from weakrig import (
     Configuration,
     FormationTarget,
@@ -10,6 +15,11 @@ from weakrig import (
     TripleSet,
     full_triple_set,
 )
+
+if settings is not None:
+    # the same examples on every run, so tier-1 results are reproducible
+    settings.register_profile("weakrig", derandomize=True, deadline=None, database=None)
+    settings.load_profile("weakrig")
 
 SQRT3 = np.sqrt(3.0)
 

@@ -8,10 +8,13 @@ from weakrig import (
     Configuration,
     Framework,
     Graph,
+    InputError,
     Law,
     TripleSet,
+    distance_triple,
     full_triple_set,
-    restrict_triples_to_tree,
+    neighbors,
+    numerical_rank,
 )
 
 
@@ -128,8 +131,8 @@ def reference_weak_rigidity_matrix(f, t):
 
 def reference_edge_weak_rigidity_matrix(f, tree, t):
     """Per-triple loop over the tree-restricted triples, edge columns."""
-    kept = restrict_triples_to_tree(tree, t)
-    col_of = tree.edge_index()
+    kept = TripleSet(reference_restrict_triples_to_tree(tree, t.triples))
+    col_of = {e: idx for idx, e in enumerate(tree.edges)}
     d = f.d
     p = f.points
     r = np.zeros((kept.s, tree.m * d))
@@ -230,3 +233,87 @@ def reference_integrate(cfg):
         if step % cfg.record_every == 0 or step == n_steps:
             record(step * h, pts, delta, cost)
     return finish("t_max")
+
+
+# Reference triple-set operations: the library's first per-triple loops,
+# kept so the array versions can be checked against them exactly.
+
+def _edge_set(graph):
+    return frozenset(graph.edges)
+
+
+def _has_edge(edges, i, j):
+    return (min(i, j), max(i, j)) in edges
+
+
+def reference_full_triple_set(g):
+    """Nested loop over each vertex's sorted neighbors; sorted tuples."""
+    trips = [distance_triple(i, j) for i, j in g.edges]
+    for i in range(1, g.n + 1):
+        nb = sorted(neighbors(g, i))
+        for a in range(len(nb)):
+            for b in range(a + 1, len(nb)):
+                trips.append((i, nb[a], nb[b]))
+    return tuple(sorted(trips))
+
+
+def reference_validate_triples(triples):
+    """Per-triple checks in input order; canonical int tuples or InputError."""
+    canon = []
+    seen = set()
+    for t in triples:
+        trip = tuple(int(v) for v in t)
+        if len(trip) != 3:
+            raise InputError(f"triple {t!r} is not an (i, j, k) triple")
+        i, j, k = trip
+        if j > k:
+            raise InputError(f"triple ({i},{j},{k}) must have legs ordered j <= k")
+        if i == j or i == k:
+            raise InputError(f"triple ({i},{j},{k}) apex equals a leg")
+        key = ("d", min(i, j), max(i, j)) if j == k else ("a", i, j, k)
+        if key in seen:
+            raise InputError(f"duplicate constraint ({i},{j},{k})")
+        seen.add(key)
+        canon.append(trip)
+    return tuple(canon)
+
+
+def reference_require_valid_for(graph, triples):
+    edges = _edge_set(graph)
+    for i, j, k in triples:
+        if not _has_edge(edges, i, j) or not _has_edge(edges, i, k):
+            raise InputError(f"triple ({i},{j},{k}) references a non-edge")
+
+
+def reference_restrict_triples_to_tree(tree, triples):
+    edges = _edge_set(tree)
+    return tuple(t for t in triples
+                 if _has_edge(edges, t[0], t[1]) and _has_edge(edges, t[0], t[2]))
+
+
+def reference_build_formation_triples(gf, gs):
+    if gf.n != gs.n:
+        raise InputError("formation and sensing graphs must share the vertex set")
+    sensing = _edge_set(gs)
+    for e in gf.edges:
+        if not _has_edge(sensing, *e):
+            raise InputError(f"formation edge {e} missing from the sensing graph")
+    return tuple((i, j, k) for i, j, k in reference_full_triple_set(gf)
+                 if j == k or _has_edge(sensing, j, k))
+
+
+def reference_recorder_build(edges, positions):
+    """Edge lengths, minimum pairwise distance and point-matrix rank of the
+    recorded positions: one norm per edge, and the full (T, n, n, d)
+    difference array for the distances."""
+    pos = np.array(positions)
+    nsamp = pos.shape[0]
+    elens = np.zeros((nsamp, len(edges)))
+    for col, (i, j) in enumerate(edges):
+        elens[:, col] = np.linalg.norm(pos[:, i - 1] - pos[:, j - 1], axis=1)
+    diff = pos[:, :, None, :] - pos[:, None, :, :]
+    dists = np.sqrt(np.einsum("tijk,tijk->tij", diff, diff))
+    iu = np.triu_indices(pos.shape[1], k=1)
+    min_dist = (dists[:, iu[0], iu[1]].min(axis=1)
+                if iu[0].size else np.full(nsamp, np.inf))
+    return elens, min_dist, numerical_rank(pos)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from test_fileio import gain_dict, hexagon_framework_dict, hexagon_target_dict
@@ -56,6 +57,19 @@ class TestCheck:
     def test_tree_mode(self, hexagon_file, capsys):
         assert main(["check", hexagon_file, "--mode", "tree"]) == 0
         assert "rank 9/9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode, code", [("weak", 0), ("rigid", 1), ("tree", 0)])
+    def test_rank_is_computed_once(self, hexagon_file, monkeypatch, mode, code):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert main(["check", hexagon_file, "--mode", mode]) == code
+        assert len(calls) == 1
 
     def test_explicit_triples_file(self, hexagon_file, tmp_path, capsys):
         trips = {"triples": [[2, 1, 1], [3, 2, 2]]}

@@ -87,6 +87,41 @@ class TestTripleSet:
         ts = TripleSet(((1, 3, 3),))
         assert ts.triples == ((1, 3, 3),)
 
+    def test_integer_array_accepted(self):
+        arr = np.array([[2, 1, 1], [1, 2, 3]], dtype=np.int32)
+        ts = TripleSet(arr)
+        arr[0, 0] = 9  # the set keeps its own copy
+        assert ts.triples == ((2, 1, 1), (1, 2, 3))
+        assert all(type(v) is int for t in ts.triples for v in t)
+        assert ts == TripleSet(((2, 1, 1), (1, 2, 3)))
+        assert hash(ts) == hash(TripleSet([[2, 1, 1], [1, 2, 3]]))
+        assert ts != TripleSet(((1, 2, 3), (2, 1, 1)))
+        assert TripleSet(np.zeros((0, 3), dtype=int)) == TripleSet(())
+
+    @pytest.mark.parametrize("triples, message", [
+        (((1, 2, 3), (1, 1, 2), (1, 3, 2)), "triple (1,1,2) apex equals a leg"),
+        (((1, 3, 2), (1, 1, 2)), "triple (1,3,2) must have legs ordered j <= k"),
+        (((2, 2, 1),), "triple (2,2,1) must have legs ordered j <= k"),
+        (((2, 1, 1), (3, 1, 2), (1, 2, 2), (1, 1, 2)), "duplicate constraint (1,2,2)"),
+        (((1, 2, 3), (1, 3, 2), (2, 1)), "triple (1,3,2) must have legs ordered j <= k"),
+        (((1, 2, 3), (2, 1)), "triple (2, 1) is not an (i, j, k) triple"),
+    ])
+    def test_error_names_first_failing_triple(self, triples, message):
+        for given_as in (triples, np.array(triples, dtype=object)):
+            with pytest.raises(InputError) as err:
+                TripleSet(given_as)
+            assert str(err.value) == message
+        if all(len(t) == 3 for t in triples):
+            with pytest.raises(InputError) as err:
+                TripleSet(np.array(triples))
+            assert str(err.value) == message
+
+    def test_immutable(self):
+        ts = TripleSet(((1, 2, 3),))
+        with pytest.raises(AttributeError):
+            ts.triples = ()
+        assert not ts._arr.flags.writeable
+
     def test_distance_triple_canonical_form(self):
         assert distance_triple(1, 2) == (2, 1, 1)
         assert distance_triple(5, 3) == (5, 3, 3)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import reference_integrate
+from helpers import reference_integrate, reference_recorder_build
 from test_control import random_target, triangle_target
 from weakrig import (
     Configuration,
@@ -18,6 +20,7 @@ from weakrig import (
     numerical_rank,
     shape_distance,
 )
+from weakrig import simulate
 from weakrig.simulate import MAX_STEPS
 
 
@@ -205,6 +208,62 @@ class TestStackedRank:
         trace = integrate(hexagon_run_config(hexagon_target, designed_gain, seed=3,
                                              t_max=1.0))
         assert trace.rank_p.tolist() == [numerical_rank(p) for p in trace.positions]
+
+
+class TestRecorderBuild:
+    @pytest.mark.parametrize("n, d, samples, edges", [
+        (1, 2, 5, ()),
+        (2, 3, 7, ((1, 2),)),
+        (5, 3, 40, ((1, 2), (1, 5), (2, 3), (3, 4))),
+        (12, 2, 2500, ((1, 2), (2, 3), (3, 12), (4, 7), (5, 6), (6, 11))),  # 3 pair blocks
+    ])
+    def test_matches_full_difference_array(self, n, d, samples, edges):
+        rng = np.random.default_rng(n * 100 + d)
+        rec = simulate._Recorder(edges)
+        for t in range(samples):
+            pts = rng.uniform(-1.0, 1.0, (n, d))
+            if t % 7 == 3:
+                pts[-1] = pts[0]  # coincident agents
+            rec.add(0.1 * t, pts, rng.normal(size=3), float(t))
+        trace = rec.build("t_max")
+        elens, min_dist, ranks = reference_recorder_build(edges, rec.positions)
+        assert trace.edge_lengths.shape == (samples, len(edges))
+        assert np.array_equal(trace.edge_lengths, elens)
+        assert np.array_equal(trace.min_distance, min_dist)
+        assert np.array_equal(trace.rank_p, ranks)
+
+    def test_hexagon_trace_matches_reference(self, hexagon_target, designed_gain):
+        trace = integrate(hexagon_run_config(hexagon_target, designed_gain, seed=5,
+                                             t_max=2.0, record_every=1))
+        elens, min_dist, ranks = reference_recorder_build(hexagon_target.graph.edges,
+                                                          trace.positions)
+        assert np.array_equal(trace.edge_lengths, elens)
+        assert np.array_equal(trace.min_distance, min_dist)
+        assert np.array_equal(trace.rank_p, ranks)
+
+    def test_build_memory_is_bounded(self, hexagon_target, monkeypatch):
+        """Post-processing a 20,001-sample hexagon run allocates ~9 MB; the full
+        (T, n, n, d) difference array took it to ~27 MB."""
+        recorders = []
+        build = simulate._Recorder.build
+
+        def keep(rec, termination):
+            recorders.append(rec)
+            return build(rec, termination)
+
+        monkeypatch.setattr(simulate._Recorder, "build", keep)
+        rng = np.random.default_rng(8)
+        start = Configuration(hexagon_target.witness.points + rng.normal(0.0, 0.3, (6, 2)))
+        cfg = SimulationConfig(start, ControllerSpec(Law.GRADIENT, hexagon_target),
+                               t_max=200.0, record_every=1, stop_cost=0.0)
+        assert len(integrate(cfg)) == 20001
+        tracemalloc.start()
+        try:
+            build(recorders[0], "t_max")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestConvergenceRate:
