@@ -163,15 +163,9 @@ def local_cost(i: int, p: Configuration, tgt: FormationTarget) -> float:
     incident edge (each edge is counted by both endpoints)."""
     if not 1 <= i <= tgt.n:
         raise InputError(f"agent {i} outside 1..{tgt.n}")
-    delta = residuals(p, tgt)
-    total = 0.0
-    for t, (a, j, k) in enumerate(tgt.triples.triples):
-        if j == k:
-            if i == a or i == j:
-                total += 0.5 * float(delta[t] ** 2)
-        elif i == a:
-            total += 0.5 * float(delta[t] ** 2)
-    return total
+    a, j, k = tgt.triples._arr.T
+    owned = residuals(p, tgt)[(a == i) | ((j == k) & (j == i))]
+    return 0.5 * sum((owned ** 2).tolist())
 
 
 def gradient_control(p: Configuration, tgt: FormationTarget) -> np.ndarray:

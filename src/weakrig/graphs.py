@@ -7,7 +7,6 @@ is reproducible byte for byte; rigidity ranks do not depend on orientation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,40 +74,39 @@ def neighbors(g: Graph, i: int) -> set[int]:
     return set(g._adj[i])
 
 
+def _bfs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from vertex 1, visiting neighbours in ascending order.
+
+    Returns the 0-based vertices in visit order and the 0-based parent of each
+    vertex: vertex 1 is its own parent, and an unreached vertex has parent -1.
+    """
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for u in order:  # the visit order doubles as the queue
+        for v in g._adj[u + 1]:
+            if parent[v - 1] < 0:
+                parent[v - 1] = u
+                order.append(v - 1)
+    return np.array(order), np.array(parent)
+
+
 def is_connected(g: Graph) -> bool:
     """True iff one component spans all vertices (a single vertex counts)."""
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in g._adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    return _bfs(g)[0].size == g.n
 
 
 def incidence(g: Graph) -> np.ndarray:
     """(m, n) incidence matrix; row per canonical edge with -1 at i, +1 at j."""
     h = np.zeros((g.m, g.n))
-    for row, (i, j) in enumerate(g.edges):
-        h[row, i - 1] = -1.0
-        h[row, j - 1] = 1.0
+    h[np.arange(g.m)[:, None], np.stack(g._ends, axis=1)] = (-1.0, 1.0)
     return h
 
 
 def spanning_tree(g: Graph) -> Graph:
     """BFS tree from vertex 1, visiting neighbors in ascending order."""
-    if not is_connected(g):
+    order, parent = _bfs(g)
+    if order.size < g.n:
         raise DomainError("spanning tree requires a connected graph")
-    seen = {1}
-    queue = deque([1])
-    tree_edges = []
-    while queue:
-        u = queue.popleft()
-        for v in g._adj[u]:
-            if v not in seen:
-                seen.add(v)
-                tree_edges.append((min(u, v), max(u, v)))
-                queue.append(v)
-    return Graph(g.n, tuple(tree_edges))
+    child = order[1:]
+    return Graph(g.n, tuple(zip((parent[child] + 1).tolist(), (child + 1).tolist())))

@@ -2,8 +2,8 @@
 
 The edge Gram matrix E^T E (columns of E are the edge displacement vectors)
 determines a connected framework up to translation, rotation, and reflection;
-``recover_shape`` inverts it by low-rank factorization plus integration of the
-edge vectors along a spanning tree.
+``recover_shape`` inverts it by factoring its spanning-tree block, placing the
+points along the tree, and certifying the rest of the matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import DomainError, InputError, NotRealizableError
 from .framework import Configuration, Framework
-from .graphs import Graph, is_connected, spanning_tree
+from .graphs import Graph, _bfs
 from .linalg import RANK_RTOL
 
 PSD_CLAMP_RTOL = 1e-10
+_CERTIFY_BLOCK = 2**14  # Gram entries per row strip of the realizability certificate
 
 
 def edm(c: Configuration) -> np.ndarray:
@@ -29,9 +30,8 @@ def edm(c: Configuration) -> np.ndarray:
 
 def edge_vector_matrix(f: Framework) -> np.ndarray:
     """(d, m) matrix with column p_i - p_j per canonical edge (i < j)."""
-    p = f.points
-    cols = [p[i - 1] - p[j - 1] for i, j in f.graph.edges]
-    return np.array(cols).T.reshape(f.d, f.graph.m)
+    head, tail = f.points.take(f.graph._ends, axis=0)
+    return (head - tail).T
 
 
 def gram(f: Framework) -> np.ndarray:
@@ -105,64 +105,64 @@ def shape_distance(p: Configuration, q: Configuration) -> float:
 def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     """Reconstruct coordinates whose edge Gram matrix equals ``g``.
 
-    Factors g = E^T E by symmetric eigendecomposition (top-d eigenpairs;
-    small negative eigenvalues within -1e-10 of the largest are clamped) and
-    integrates the edge vectors along a spanning tree from p_1 = origin. The
-    result is congruent to any configuration realizing ``g``.
+    Checks the (n-1)x(n-1) block of ``g`` on the BFS spanning-tree edges for
+    symmetry, PSD (eigenvalues within -1e-10 of the largest are clamped) and
+    rank <= d, factors it (top-d eigenpairs) and places the points along the
+    tree from p_1 = origin. The tree edges fix every other edge by the cycle
+    law, so all of ``g`` is then certified against the rebuilt framework's
+    Gram matrix: an entry off by more than ``PSD_CLAMP_RTOL * max(1, max|g|)``
+    raises NotRealizableError. The result is congruent to any realization.
     """
-    if not is_connected(graph):
+    order, parent = _bfs(graph)
+    if order.size < graph.n:
         raise DomainError("shape recovery requires a connected graph")
     g = np.asarray(g, dtype=float)
     m = graph.m
     if g.shape != (m, m):
         raise InputError(f"Gram matrix must be {m}x{m} for this graph, got {g.shape}")
-    if m > 0:
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if float(np.max(np.abs(g - g.T))) > 1e-12 * scale:
-            raise InputError("Gram matrix is not symmetric")
     if d < 1:
         raise InputError("dimension must be >= 1")
-
     if m == 0:
         return Configuration(np.zeros((graph.n, d)))
 
-    w, v = np.linalg.eigh(g)
+    child = order[1:]
+    up = parent[child]
+    tree = graph._edge_ids(up, child)
+    gmin, gmax = float(g.min()), float(g.max())
+    if not -np.inf < gmin <= gmax < np.inf:
+        raise InputError("Gram matrix must be finite")
+    scale = max(1.0, gmax, -gmin)
+    block = g[np.ix_(tree, tree)]
+    if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
+        raise InputError("Gram matrix is not symmetric")
+    w, v = np.linalg.eigh(block)
     lam_max = float(w[-1])
     if lam_max < 0.0:
         raise NotRealizableError("Gram matrix is not positive semidefinite")
-    floor = -PSD_CLAMP_RTOL * lam_max
-    if float(w[0]) < floor:
+    if float(w[0]) < -PSD_CLAMP_RTOL * lam_max:
         raise NotRealizableError(
             f"Gram matrix has eigenvalue {w[0]:.3e} below the PSD tolerance"
         )
     w = np.clip(w, 0.0, None)
-    tol = max(m * lam_max * RANK_RTOL, 1e-12)
-    rank = int(np.count_nonzero(w > tol))
+    rank = int(np.count_nonzero(w > max((graph.n - 1) * lam_max * RANK_RTOL, 1e-12)))
     if rank > d:
         raise NotRealizableError(
             f"Gram matrix has numerical rank {rank}, not realizable in dimension {d}"
         )
-    top_w = w[-d:] if d <= m else np.concatenate([np.zeros(d - m), w])
-    top_v = v[:, -d:] if d <= m else np.hstack([np.zeros((m, d - m)), v])
-    e = (np.sqrt(top_w)[:, None]) * top_v.T  # (d, m), columns are edge vectors
-
+    k = min(d, graph.n - 1)
+    # p_child - p_parent along each tree edge, whose column holds p_min - p_max
     pts = np.zeros((graph.n, d))
-    known = {1}
-    tree = spanning_tree(graph)
-    cols = graph._edge_ids(*tree._ends).tolist()
-    adj = {i: [] for i in range(1, graph.n + 1)}
-    for (a, b), c in zip(tree.edges, cols):
-        adj[a].append((b, c))
-        adj[b].append((a, c))
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for vtx, c in adj[u]:
-            if vtx in known:
-                continue
-            col = e[:, c]
-            # column holds p_min - p_max for the canonical orientation
-            pts[vtx - 1] = pts[u - 1] - col if u < vtx else pts[u - 1] + col
-            known.add(vtx)
-            stack.append(vtx)
-    return Configuration(pts)
+    pts[child, :k] = v[:, -k:] * np.sqrt(w[-k:])
+    pts[child[up < child]] *= -1.0
+    for u, c in zip(up, child):  # BFS order places every parent before its children
+        pts[c] += pts[u]
+    rebuilt = Framework(graph, Configuration(pts))
+    e = edge_vector_matrix(rebuilt).T
+    tol = PSD_CLAMP_RTOL * scale
+    rows = max(1, _CERTIFY_BLOCK // m)
+    for lo in range(0, m, rows):
+        gap = float(np.max(np.abs(g[lo:lo + rows] - e[lo:lo + rows] @ e.T)))
+        if gap > tol:
+            raise NotRealizableError(f"Gram matrix breaks the cycle law by {gap:.3e} "
+                                     f"(tolerance {tol:.3e})")
+    return rebuilt.config

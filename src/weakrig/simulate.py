@@ -20,6 +20,7 @@ from .linalg import numerical_rank
 COLLISION_THRESHOLD = 1e-9
 MAX_STEPS = 10**7
 _PAIR_BLOCK = 2**16  # vertex pairs per block of the minimum-distance pass
+_FIRST_CAPACITY = 64  # recorded samples before the recorder's first doubling
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,23 +81,29 @@ class InvariantReport:
 
 
 class _Recorder:
+    """Samples in arrays whose capacity doubles when full, so memory follows
+    the samples taken, not the step cap."""
+
     def __init__(self, edges):
         self._edges = edges
-        self.times = []
-        self.positions = []
-        self.residuals = []
-        self.costs = []
+        self._size = self._capacity = 0
+        self._data = ()  # times (T,), positions (T, n, d), residuals (T, s), costs (T,)
 
     def add(self, t: float, pts: np.ndarray, delta: np.ndarray, cost: float):
-        self.times.append(t)
-        self.positions.append(pts.copy())
-        self.residuals.append(delta.copy())
-        self.costs.append(cost)
+        k = self._size
+        sample = (t, pts, delta, cost)
+        if k == self._capacity:
+            self._capacity = max(2 * k, _FIRST_CAPACITY)
+            grown = [np.empty((self._capacity,) + np.shape(x)) for x in sample]
+            for new, old in zip(grown, self._data):
+                new[:k] = old
+            self._data = grown
+        times, positions, residuals, costs = self._data
+        times[k], positions[k], residuals[k], costs[k] = sample
+        self._size = k + 1
 
     def build(self, termination: str) -> SimulationTrace:
-        pos = np.array(self.positions)
-        res = np.array(self.residuals)
-        costs = np.array(self.costs)
+        times, pos, res, costs = (a[:self._size].copy() for a in self._data)
         ends = np.array(self._edges, dtype=int).reshape(-1, 2) - 1
         elens = np.linalg.norm(pos[:, ends[:, 0]] - pos[:, ends[:, 1]], axis=2)
         # the n(n-1)/2 vertex pairs i < j, in blocks of samples of bounded size
@@ -108,7 +115,7 @@ class _Recorder:
             min_dist[lo:lo + block] = np.sqrt(np.einsum("tpk,tpk->tp", diff, diff)).min(axis=1)
         ranks = numerical_rank(pos)
         return SimulationTrace(
-            times=np.array(self.times),
+            times=times,
             positions=pos,
             residuals=res,
             residual_norm=np.sqrt(2.0 * costs),

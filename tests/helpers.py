@@ -1,6 +1,7 @@
 """Shared generators and finite-difference oracles for the test suite."""
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from weakrig import (
     full_triple_set,
     neighbors,
     numerical_rank,
+    residuals,
 )
 
 
@@ -192,6 +194,19 @@ def reference_velocity_and_residuals(spec, pts):
     return -np.einsum("nij,nj->ni", gain, grad), delta
 
 
+def reference_local_cost(i, p, tgt):
+    """Per-triple loop: apex-owned angles, and distances at either end."""
+    delta = residuals(p, tgt)
+    total = 0.0
+    for t, (a, j, k) in enumerate(tgt.triples.triples):
+        if j == k:
+            if i == a or i == j:
+                total += 0.5 * float(delta[t] ** 2)
+        elif i == a:
+            total += 0.5 * float(delta[t] ** 2)
+    return total
+
+
 def reference_integrate(cfg):
     """Classical RK4 over ``reference_velocity_and_residuals``, recording like
     ``integrate``: every record_every-th step, the last step, and the stop.
@@ -317,3 +332,72 @@ def reference_recorder_build(edges, positions):
     min_dist = (dists[:, iu[0], iu[1]].min(axis=1)
                 if iu[0].size else np.full(nsamp, np.inf))
     return elens, min_dist, numerical_rank(pos)
+
+
+# Reference graph and shape routines: the per-edge loops, the deque BFS and the
+# eigh-based recovery the library used before, kept so the gathers, scatters
+# and the tree-block recovery can be checked against them.
+
+def reference_incidence(g):
+    h = np.zeros((g.m, g.n))
+    for row, (i, j) in enumerate(g.edges):
+        h[row, i - 1] = -1.0
+        h[row, j - 1] = 1.0
+    return h
+
+
+def reference_edge_vector_matrix(f):
+    p = f.points
+    cols = [p[i - 1] - p[j - 1] for i, j in f.graph.edges]
+    return np.array(cols).T.reshape(f.d, f.graph.m)
+
+
+def reference_spanning_tree(g):
+    """BFS from vertex 1 over a deque, neighbours ascending. Returns whether it
+    reached every vertex, and the sorted tree edges."""
+    seen = {1}
+    queue = deque([1])
+    tree_edges = []
+    while queue:
+        u = queue.popleft()
+        for v in sorted(neighbors(g, u)):
+            if v not in seen:
+                seen.add(v)
+                tree_edges.append((min(u, v), max(u, v)))
+                queue.append(v)
+    return len(seen) == g.n, tuple(sorted(tree_edges))
+
+
+def reference_recover_shape(g, graph, d):
+    """Top-d eigenpairs of the whole m x m Gram matrix, edge vectors integrated
+    along the BFS tree by a depth-first walk. For realizable input only: it
+    checks neither PSD, rank nor the cycle law."""
+    connected, tree_edges = reference_spanning_tree(graph)
+    assert connected
+    g = np.asarray(g, dtype=float)
+    m = graph.m
+    pts = np.zeros((graph.n, d))
+    if m == 0:
+        return Configuration(pts)
+    w, v = np.linalg.eigh(g)
+    w = np.clip(w, 0.0, None)
+    top_w = w[-d:] if d <= m else np.concatenate([np.zeros(d - m), w])
+    top_v = v[:, -d:] if d <= m else np.hstack([np.zeros((m, d - m)), v])
+    e = np.sqrt(top_w)[:, None] * top_v.T
+    col_of = {edge: c for c, edge in enumerate(graph.edges)}
+    adj = {i: [] for i in range(1, graph.n + 1)}
+    for a, b in tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    known = {1}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for vtx in adj[u]:
+            if vtx in known:
+                continue
+            col = e[:, col_of[(min(u, vtx), max(u, vtx))]]
+            pts[vtx - 1] = pts[u - 1] - col if u < vtx else pts[u - 1] + col
+            known.add(vtx)
+            stack.append(vtx)
+    return Configuration(pts)

@@ -7,6 +7,7 @@ from helpers import (
     random_framework,
     random_triple_subset,
     reference_barred_weak_rigidity_matrix,
+    reference_local_cost,
     reference_velocity_and_residuals,
     rel_err,
 )
@@ -132,6 +133,18 @@ class TestCosts:
     def test_agent_out_of_range(self, hexagon_target):
         with pytest.raises(InputError):
             local_cost(7, hexagon_target.witness, hexagon_target)
+
+    def test_local_cost_matches_reference_loop(self, hexagon_target):
+        rng = np.random.default_rng(61)
+        targets = [hexagon_target, triangle_target()] + [
+            random_target(rng, n=int(rng.integers(3, 8)), d=2 + trial % 2,
+                          triples=random_triple_choice(rng, trial))
+            for trial in range(9)]
+        for tgt in targets:
+            pts = tgt.witness.points
+            p = Configuration(pts + rng.uniform(-0.3, 0.3, pts.shape))
+            for i in range(1, tgt.n + 1):
+                assert local_cost(i, p, tgt) == reference_local_cost(i, p, tgt)
 
 
 class TestGradientControl:

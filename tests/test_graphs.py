@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_incidence, reference_spanning_tree
 from weakrig import (
     DomainError,
     Graph,
@@ -11,6 +11,20 @@ from weakrig import (
     neighbors,
     spanning_tree,
 )
+
+
+def random_graphs(seed, count):
+    """Connected graphs, and graphs with independent edges that are often
+    disconnected or edgeless."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(1, 13))
+        if trial % 2:
+            yield random_connected_graph(rng, n, extra_prob=float(rng.uniform(0.0, 0.6)))
+        else:
+            p = float(rng.choice([0.0, 0.15, 0.4]))
+            yield Graph(n, tuple((i, j) for i in range(1, n + 1)
+                                 for j in range(i + 1, n + 1) if rng.random() < p))
 
 
 class TestGraphValidation:
@@ -103,6 +117,10 @@ class TestIncidence:
     def test_disconnected_rank(self):
         assert np.linalg.matrix_rank(incidence(Graph(4, ((1, 2), (3, 4))))) == 2
 
+    def test_matches_reference_loop(self):
+        for g in random_graphs(24, 60):
+            assert np.array_equal(incidence(g), reference_incidence(g))
+
     def test_rank_counts_components(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
@@ -138,3 +156,13 @@ class TestSpanningTree:
             assert t.m == g.n - 1
             assert is_connected(t)
             assert set(t.edges) <= set(g.edges)
+
+    def test_matches_reference_bfs(self):
+        for g in random_graphs(6, 60):
+            connected, tree_edges = reference_spanning_tree(g)
+            assert is_connected(g) == connected
+            if connected:
+                assert spanning_tree(g).edges == tree_edges
+            else:
+                with pytest.raises(DomainError):
+                    spanning_tree(g)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_framework, rigid_transform
+from helpers import random_framework, reference_edge_vector_matrix, rigid_transform
 from weakrig import (
     Configuration,
     DomainError,
@@ -13,6 +13,7 @@ from weakrig import (
     NotRealizableError,
     align,
     congruent,
+    edge_vector_matrix,
     edm,
     gram,
     points_span_full_dimension,
@@ -65,6 +66,15 @@ class TestGram:
             eig = np.linalg.eigvalsh(g)
             assert eig[0] >= -1e-10 * max(eig[-1], 1.0)
             assert np.linalg.matrix_rank(gram(fw)) <= d
+
+    def test_edge_vectors_match_reference_loop(self):
+        rng = np.random.default_rng(42)
+        for trial in range(30):
+            d = 2 + trial % 2
+            fw = random_framework(rng, int(rng.integers(1, 10)), d)
+            e = reference_edge_vector_matrix(fw)
+            assert np.array_equal(edge_vector_matrix(fw), e)
+            assert np.array_equal(gram(fw), e.T @ e)
 
 
 class TestCongruence:
@@ -206,6 +216,17 @@ class TestRecoverShape:
         with pytest.raises(InputError):
             recover_shape(bad, hexagon_graph, 2)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 2), (2, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, entry, value):
+        # edges (1,2) and (1,3) form the BFS tree; (2,3) closes the cycle
+        fw = Framework(Graph(3, ((1, 2), (1, 3), (2, 3))),
+                       Configuration(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])))
+        bad = gram(fw)
+        bad[entry] = bad[entry[::-1]] = value
+        with pytest.raises(InputError, match="finite"):
+            recover_shape(bad, fw.graph, 2)
+
     def test_not_psd_rejected(self):
         g = Graph(3, ((1, 2), (1, 3)))
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -221,3 +242,28 @@ class TestRecoverShape:
                 continue
             rec = recover_shape(gram(fw), fw.graph, d)
             assert shape_distance(rec, fw.config) <= 1e-8
+
+    def test_triangle_breaking_cycle_law_rejected(self):
+        # edge vectors (1,0), (0,1), (1,1) on (1,2), (1,3), (2,3): the Gram is PSD
+        # with rank 2, but p1-p2 - (p1-p3) + (p2-p3) = (0,-2), not 0
+        e = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        g = Graph(3, ((1, 2), (1, 3), (2, 3)))
+        with pytest.raises(NotRealizableError, match="cycle law"):
+            recover_shape(e @ e.T, g, 2)
+
+    def test_eigh_runs_once_on_tree_block(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        fw = random_framework(rng, 9, 2, graph=Graph(9, tuple(
+            (i, j) for i in range(1, 10) for j in range(i + 1, 10) if (i + j) % 3)))
+        assert fw.graph.m > fw.n - 1
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rec = recover_shape(gram(fw), fw.graph, 2)
+        assert shapes == [(8, 8)]
+        assert shape_distance(rec, fw.config) <= 1e-8

@@ -226,7 +226,7 @@ class TestRecorderBuild:
                 pts[-1] = pts[0]  # coincident agents
             rec.add(0.1 * t, pts, rng.normal(size=3), float(t))
         trace = rec.build("t_max")
-        elens, min_dist, ranks = reference_recorder_build(edges, rec.positions)
+        elens, min_dist, ranks = reference_recorder_build(edges, trace.positions)
         assert trace.edge_lengths.shape == (samples, len(edges))
         assert np.array_equal(trace.edge_lengths, elens)
         assert np.array_equal(trace.min_distance, min_dist)
@@ -264,6 +264,28 @@ class TestRecorderBuild:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_samples_held_before_build(self, hexagon_target, monkeypatch):
+        """A 20,001-sample hexagon run held 9.8 MB as one small ndarray per sample;
+        arrays of doubling capacity hold the same samples in about 6 MB."""
+        held = []
+        build = simulate._Recorder.build
+
+        def measure(rec, termination):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return build(rec, termination)
+
+        monkeypatch.setattr(simulate._Recorder, "build", measure)
+        rng = np.random.default_rng(8)
+        start = Configuration(hexagon_target.witness.points + rng.normal(0.0, 0.3, (6, 2)))
+        cfg = SimulationConfig(start, ControllerSpec(Law.GRADIENT, hexagon_target),
+                               t_max=200.0, record_every=1, stop_cost=0.0)
+        tracemalloc.start()
+        try:
+            assert len(integrate(cfg)) == 20001
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 7e6
 
 
 class TestConvergenceRate:
