@@ -73,11 +73,9 @@ from .simulate import (
     monitor_invariants,
 )
 from .triples import (
-    ProbeReport,
     check_planar_graphical_condition,
     collinearity_defects,
     full_triple_set,
-    generic_rigidity_probe,
     min_iwr_spanning_tree,
     minimal_triple_set,
 )

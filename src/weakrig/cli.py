@@ -59,38 +59,31 @@ def _planar_failures(fw) -> list[str]:
 
 def _cmd_check(args) -> int:
     fw = fileio.framework_from_dict(fileio.load_json(args.framework))
-    req = required_rank(fw.n, fw.d)
 
     if args.mode == "graphical":
         failures = _planar_failures(fw)
         print("\n".join(failures) if failures else "graphical condition: holds")
         return 1 if failures else 0
 
+    if args.mode != "rigid":
+        triples = (fileio.triples_from_dict(fileio.load_json(args.triples))
+                   if args.triples else full_triple_set(fw.graph))
     # each mode builds its matrix once and compares its rank to required_rank,
     # as is_infinitesimally_rigid, is_infinitesimally_weakly_rigid and
     # check_iwr_via_spanning_tree do
+    _require_enough_points(fw.n, fw.d)
     if args.mode == "rigid":
-        _require_enough_points(fw.n, fw.d)
-        rank = numerical_rank(rigidity_matrix(fw))
-        ok = rank == req
-        print(f"infinitesimally rigid: {'yes' if ok else 'no'} (rank {rank}/{req})")
-        return 0 if ok else 1
-
-    triples = (fileio.triples_from_dict(fileio.load_json(args.triples))
-               if args.triples else full_triple_set(fw.graph))
-    if args.mode == "weak":
-        _require_enough_points(fw.n, fw.d)
-        rank = numerical_rank(weak_rigidity_matrix(fw, triples))
-        ok = rank == req
-        print(f"IWR: {'yes' if ok else 'no'} (rank {rank}/{req})")
-        return 0 if ok else 1
-
-    # mode == "tree": sufficient test on the BFS spanning tree
-    tree = spanning_tree(fw.graph)
-    rank = numerical_rank(edge_weak_rigidity_matrix(fw, tree, triples))
+        label, matrix = "infinitesimally rigid", rigidity_matrix(fw)
+    elif args.mode == "weak":
+        label, matrix = "IWR", weak_rigidity_matrix(fw, triples)
+    else:  # sufficient test on the BFS spanning tree
+        label = "IWR via spanning tree"
+        matrix = edge_weak_rigidity_matrix(fw, spanning_tree(fw.graph), triples)
+    req = required_rank(fw.n, fw.d)
+    rank = numerical_rank(matrix)
     ok = rank == req
-    note = "" if ok else "; inconclusive for d >= 3"
-    print(f"IWR via spanning tree: {'yes' if ok else 'no'} (rank {rank}/{req}{note})")
+    note = "; inconclusive for d >= 3" if args.mode == "tree" and not ok else ""
+    print(f"{label}: {'yes' if ok else 'no'} (rank {rank}/{req}{note})")
     return 0 if ok else 1
 
 
@@ -242,3 +235,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -70,10 +70,6 @@ def graph_from_dict(obj: dict) -> Graph:
         raise InputError(f"field 'edges': {exc}") from exc
 
 
-def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges]}
-
-
 def framework_from_dict(obj: dict) -> Framework:
     g = graph_from_dict(obj)
     d = _get(obj, "d", int, "the ambient dimension, a positive integer")
@@ -87,13 +83,6 @@ def framework_from_dict(obj: dict) -> Framework:
     if config.d != d:
         raise InputError(f"field 'points' rows have {config.d} coordinates, 'd' says {d}")
     return Framework(g, config)
-
-
-def framework_to_dict(f: Framework) -> dict:
-    out = graph_to_dict(f.graph)
-    out["d"] = f.d
-    out["points"] = [[float(x) for x in row] for row in f.points]
-    return out
 
 
 def triples_from_dict(obj: dict) -> TripleSet:
@@ -124,12 +113,6 @@ def target_from_dict(obj: dict) -> FormationTarget:
     fw = framework_from_dict(obj)
     trips = triples_from_dict(obj)
     return FormationTarget(fw.graph, trips, fw.config)
-
-
-def target_to_dict(tgt: FormationTarget) -> dict:
-    out = framework_to_dict(Framework(tgt.graph, tgt.witness))
-    out.update(triples_to_dict(tgt.triples))
-    return out
 
 
 def simulation_config_from_dict(obj: dict) -> SimulationConfig:

@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     UnsupportedRegimeError,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph, _int_rows, _raise_first_failing, is_connected
 from .linalg import numerical_rank
 
 
@@ -103,16 +103,7 @@ class TripleSet:
                 and triples.ndim == 2 and triples.shape[1] == 3):
             arr = triples.astype(np.int64)
         else:
-            rows = []
-            for t in triples:
-                try:
-                    trip = tuple(int(v) for v in t)
-                    if len(trip) != 3:
-                        raise InputError(f"triple {t!r} is not an (i, j, k) triple")
-                except (TypeError, ValueError, OverflowError) as exc:
-                    err = exc  # raised once the triples before it pass
-                    break
-                rows.append(trip)
+            rows, err = _int_rows(triples, 3, "triple {!r} is not an (i, j, k) triple")
             arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
             self.__dict__["triples"] = tuple(rows)
         _require_valid_triples(arr)
@@ -163,14 +154,9 @@ def _require_valid_triples(arr: np.ndarray) -> None:
     ks = key[order]
     dup = np.zeros(arr.shape[0], dtype=bool)
     dup[order[1:]] = (ks[1:] == ks[:-1]).all(axis=1)
-    checks = ((j > k, "triple ({},{},{}) must have legs ordered j <= k"),
-              ((i == j) | (i == k), "triple ({},{},{}) apex equals a leg"),
-              (dup, "duplicate constraint ({},{},{})"))
-    failing = np.logical_or.reduce([bad for bad, _ in checks])
-    if failing.any():
-        row = failing.argmax()
-        msg = next(text for bad, text in checks if bad[row])
-        raise InputError(msg.format(*arr[row]))
+    _raise_first_failing(arr, ((j > k, "triple ({},{},{}) must have legs ordered j <= k"),
+                               ((i == j) | (i == k), "triple ({},{},{}) apex equals a leg"),
+                               (dup, "duplicate constraint ({},{},{})")))
 
 
 def required_rank(n: int, d: int) -> int:
@@ -316,19 +302,14 @@ def trivial_motion_basis(c: Configuration) -> np.ndarray:
     rotation generator sends p_i to (-y_i, x_i).
     """
     n, d = c.n, c.d
-    p = c.points
-    cols = []
-    for a in range(d):
-        col = np.zeros((n, d))
-        col[:, a] = 1.0
-        cols.append(col.reshape(-1))
-    for a in range(d):
-        for b in range(a + 1, d):
-            gen = np.zeros((d, d))
-            gen[a, b] = -1.0
-            gen[b, a] = 1.0
-            cols.append((p @ gen.T).reshape(-1))
-    basis = np.column_stack(cols)
+    a, b = np.triu_indices(d, 1)
+    plane = np.arange(a.size)
+    # the generator of the (a, b) plane sends p_i to -p_ib at a and p_ia at b
+    gens = np.zeros((a.size, d, d))
+    gens[plane, a, b] = -1.0
+    gens[plane, b, a] = 1.0
+    rotations = np.matmul(c.points, gens.transpose(0, 2, 1)).reshape(a.size, n * d).T
+    basis = np.hstack([np.tile(np.eye(d), (n, 1)), rotations])
     if numerical_rank(basis) < basis.shape[1]:
         raise DegenerateConfigurationError(
             "rigid-motion columns are linearly dependent for this configuration"
@@ -354,6 +335,7 @@ def is_infinitesimally_weakly_rigid(f: Framework, t: TripleSet) -> bool:
 
 def check_iwr_via_spanning_tree(f: Framework, tree: Graph, t: TripleSet) -> bool:
     """Sufficient test via the tree-edge Jacobian; False is inconclusive for d >= 3."""
+    _require_enough_points(f.n, f.d)
     r = edge_weak_rigidity_matrix(f, tree, t)
     return numerical_rank(r) == required_rank(f.n, f.d)
 

@@ -7,11 +7,39 @@ is reproducible byte for byte; rigidity ranks do not depend on orientation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError
+
+
+def _int_rows(items, width: int, malformed: str):
+    """Integer rows of ``items``, converted one entry at a time until the
+    first malformed one. Returns the rows and the error that entry raised, or
+    None; callers check the rows before it and raise the error only if they
+    pass. ``malformed`` is the message for an entry of the wrong length."""
+    rows = []
+    for t in items:
+        try:
+            row = tuple(int(v) for v in t)
+            if len(row) != width:
+                raise InputError(malformed.format(t))
+        except (TypeError, ValueError, OverflowError) as exc:
+            return rows, exc
+        rows.append(row)
+    return rows, None
+
+
+def _raise_first_failing(arr: np.ndarray, checks) -> None:
+    """Raise InputError for the first row of ``arr`` that fails any of the
+    (mask, message template) ``checks``, with the first message it fails."""
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if failing.any():
+        row = failing.argmax()
+        msg = next(text for bad, text in checks if bad[row])
+        raise InputError(msg.format(*arr[row]))
 
 
 @dataclass(frozen=True)
@@ -22,38 +50,60 @@ class Graph:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise InputError("vertex count n must be a positive integer")
-        canon = []
-        for e in self.edges:
-            pair = tuple(int(v) for v in e)
-            if len(pair) != 2:
-                raise InputError(f"edge {e!r} is not a pair")
-            i, j = pair
-            if i == j:
-                raise InputError(f"self-loop at vertex {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise InputError(f"edge ({i},{j}) has an endpoint outside 1..{self.n}")
-            canon.append((min(i, j), max(i, j)))
-        if len(set(canon)) != len(canon):
+        n = int(self.n)
+        rows, err = _int_rows(self.edges, 2, "edge {!r} is not a pair")
+        try:
+            ends = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # such an end fails the range check below
+            ends = np.array(rows, dtype=object).reshape(-1, 2)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        _raise_first_failing(ends, ((lo == hi, "self-loop at vertex {}"),
+                                    ((lo < 1) | (hi > n),
+                                     f"edge ({{}},{{}}) has an endpoint outside 1..{n}")))
+        if err is not None:
+            raise err
+        # the key a*n + b of each edge (a, b), 0-based with a < b; ascending
+        # keys list the canonical edges in order
+        keys = np.sort((lo - 1) * n + hi - 1)
+        if (keys[1:] == keys[:-1]).any():
             raise InputError("duplicate edges")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
-        adj = [[] for _ in range(self.n + 1)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        # 0-based ends of the canonical edges, and the key a*n + b of edge (a, b),
-        # ascending because the edges are sorted
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T - 1
-        keys = ends[0] * self.n + ends[1]
-        ends.setflags(write=False)
-        keys.setflags(write=False)
-        object.__setattr__(self, "_ends", tuple(ends))
+        lo, hi = np.divmod(keys, n)
+        for a in (keys, lo, hi):
+            a.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(zip((lo + 1).tolist(), (hi + 1).tolist())))
+        object.__setattr__(self, "_ends", (lo, hi))
         object.__setattr__(self, "_keys", keys)
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Adjacency as half-edges src -> nbr, 0-based: (start, src, nbr).
+        Vertex v's neighbours, ascending, are nbr[start[v]:start[v + 1]], and
+        src is v along that slice."""
+        a, b = self._ends
+        src = np.concatenate([b, a])
+        # a stable sort by src lists each vertex's smaller neighbours (edges
+        # (a, v), a ascending) before its larger ones (edges (v, b), b ascending)
+        order = np.argsort(src, kind="stable")
+        start = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=start[1:])
+        return start, src[order], np.concatenate([a, b])[order]
+
+    @functools.cached_property
+    def _angle_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(apex, first, second): every pair of half-edges that leave the same
+        vertex, as half-edge positions first < second, so the legs are
+        ascending; ordered by apex, then first, then second."""
+        start, src, _ = self._csr
+        pos = np.arange(src.size)
+        later = start[src + 1] - pos - 1  # half-edges after each one at its vertex
+        first = np.repeat(pos, later)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        return src[first], first, first + 1 + offset
 
     def _edge_ids(self, u, v) -> np.ndarray:
         """Canonical edge index of each pair of 0-based ends, in either order,
@@ -71,7 +121,8 @@ def neighbors(g: Graph, i: int) -> set[int]:
     """Vertices adjacent to i (1-based)."""
     if not 1 <= i <= g.n:
         raise InputError(f"vertex {i} outside 1..{g.n}")
-    return set(g._adj[i])
+    start, _, nbr = g._csr
+    return set((nbr[start[i - 1]:start[i]] + 1).tolist())
 
 
 def _bfs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -80,14 +131,15 @@ def _bfs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     Returns the 0-based vertices in visit order and the 0-based parent of each
     vertex: vertex 1 is its own parent, and an unreached vertex has parent -1.
     """
+    start, nbr = g._csr[0].tolist(), g._csr[2].tolist()
     parent = [-1] * g.n
     parent[0] = 0
     order = [0]
     for u in order:  # the visit order doubles as the queue
-        for v in g._adj[u + 1]:
-            if parent[v - 1] < 0:
-                parent[v - 1] = u
-                order.append(v - 1)
+        for v in nbr[start[u]:start[u + 1]]:
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
     return np.array(order), np.array(parent)
 
 

@@ -22,18 +22,24 @@ def numerical_rank(m):
     return int(ranks) if a.ndim == 2 else ranks
 
 
-def are_collinear(u, v) -> bool:
+def _dot(u, v):
+    """Dot products over the last axis, each rounded as a 1-D ``u @ v`` is."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def are_collinear(u, v):
     """Scale-invariant collinearity test; zero vectors are collinear with anything.
 
     Uses the rejection of ``u`` from ``v``, so the effective criterion is
     ``|cross| <= 1e-9 * |u| * |v|`` without the cancellation a Gram-determinant
-    formula would suffer near zero angle.
+    formula would suffer near zero angle. Stacks of shape (..., d) are tested
+    pair by pair and give a bool array; a pair of 1-D vectors gives a bool.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return True
-    w = u - v * ((u @ v) / (nv * nv))
-    return float(np.linalg.norm(w)) <= COLLINEAR_RTOL * nu
+    nu = np.sqrt(_dot(u, u))
+    nv = np.sqrt(_dot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero v: decided by nv below
+        w = u - v * (_dot(u, v) / (nv * nv))[..., None]
+    ok = (nu == 0.0) | (nv == 0.0) | (np.sqrt(_dot(w, w)) <= COLLINEAR_RTOL * nu)
+    return bool(ok) if ok.ndim == 0 else ok

@@ -84,8 +84,8 @@ class _Recorder:
     """Samples in arrays whose capacity doubles when full, so memory follows
     the samples taken, not the step cap."""
 
-    def __init__(self, edges):
-        self._edges = edges
+    def __init__(self, ends):
+        self._ends = ends  # 0-based edge ends, as Graph._ends
         self._size = self._capacity = 0
         self._data = ()  # times (T,), positions (T, n, d), residuals (T, s), costs (T,)
 
@@ -104,8 +104,8 @@ class _Recorder:
 
     def build(self, termination: str) -> SimulationTrace:
         times, pos, res, costs = (a[:self._size].copy() for a in self._data)
-        ends = np.array(self._edges, dtype=int).reshape(-1, 2) - 1
-        elens = np.linalg.norm(pos[:, ends[:, 0]] - pos[:, ends[:, 1]], axis=2)
+        i, j = self._ends
+        elens = np.linalg.norm(pos[:, i] - pos[:, j], axis=2)
         # the n(n-1)/2 vertex pairs i < j, in blocks of samples of bounded size
         iu = np.triu_indices(pos.shape[1], k=1)
         min_dist = np.full(pos.shape[0], np.inf)
@@ -136,7 +136,7 @@ def integrate(cfg: SimulationConfig) -> SimulationTrace:
     the finite floats.
     """
     ev = ControlEvaluator(cfg.controller)
-    rec = _Recorder(cfg.controller.target.graph.edges)
+    rec = _Recorder(cfg.controller.target.graph._ends)
     pts = cfg.initial.points.copy()
     h = cfg.h
     n_steps = cfg.n_steps

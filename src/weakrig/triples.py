@@ -8,8 +8,6 @@ set of exactly 2n-3 triples of full rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -19,14 +17,8 @@ from .errors import (
     NoValidExtensionError,
     UnsupportedDimensionError,
 )
-from .framework import (
-    Configuration,
-    Framework,
-    TripleSet,
-    distance_triple,
-    is_infinitesimally_weakly_rigid,
-)
-from .graphs import Graph, is_connected, neighbors
+from .framework import Configuration, Framework, TripleSet, distance_triple
+from .graphs import Graph, is_connected
 from .linalg import are_collinear
 
 
@@ -35,36 +27,28 @@ def full_triple_set(g: Graph) -> TripleSet:
     all angle constraints (i, j, k), j < k, with both legs incident to i;
     sorted lexicographically."""
     a, b = g._ends
-    # adjacency in CSR form: each vertex's neighbors ascending, vertices ascending
-    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-    nbr = dst[np.lexsort((dst, src))]
-    deg = np.bincount(src, minlength=g.n)
-    start = np.cumsum(deg) - deg
-    rows = [np.stack([b, a, a], axis=1)]
-    degrees = np.flatnonzero(np.bincount(deg))  # the distinct degrees, ascending
-    for k in degrees[degrees >= 2]:
-        # every vertex of degree k pairs its neighbors the same way
-        verts = np.flatnonzero(deg == k)
-        first, second = np.triu_indices(k, 1)
-        base = start[verts][:, None]
-        rows.append(np.stack([np.repeat(verts, first.size), nbr[base + first].ravel(),
-                              nbr[base + second].ravel()], axis=1))
-    trips = np.concatenate(rows)
+    nbr = g._csr[2]
+    apex, first, second = g._angle_pairs
+    trips = np.concatenate([np.stack([b, a, a], axis=1),
+                            np.stack([apex, nbr[first], nbr[second]], axis=1)])
     return TripleSet(trips[np.lexsort(trips.T[::-1])] + 1)
+
+
+def _half_edge_vectors(g: Graph, p: np.ndarray) -> np.ndarray:
+    """(2m, d) edge vector p_i - p_j of every half-edge i -> j, in CSR order."""
+    _, src, nbr = g._csr
+    return p.take(src, axis=0) - p.take(nbr, axis=0)
 
 
 def collinearity_defects(f: Framework) -> list[int]:
     """Vertices with >= 2 neighbors whose incident edge vectors are pairwise collinear."""
-    p = f.points
-    bad = []
-    for i in range(1, f.n + 1):
-        nb = sorted(neighbors(f.graph, i))
-        if len(nb) < 2:
-            continue
-        vecs = [p[i - 1] - p[j - 1] for j in nb]
-        if all(are_collinear(u, v) for a, u in enumerate(vecs) for v in vecs[a + 1:]):
-            bad.append(i)
-    return bad
+    g = f.graph
+    vecs = _half_edge_vectors(g, f.points)
+    apex, first, second = g._angle_pairs
+    skew = ~are_collinear(vecs[first], vecs[second])
+    # a vertex with a pair of edges fails unless one of its pairs is skew
+    bad = (np.bincount(apex, minlength=g.n) > 0) & (np.bincount(apex[skew], minlength=g.n) == 0)
+    return (np.flatnonzero(bad) + 1).tolist()
 
 
 def check_planar_graphical_condition(f: Framework) -> bool:
@@ -139,51 +123,29 @@ def minimal_triple_set(tree: Graph, c: Configuration) -> TripleSet:
         )
     if tree.n != c.n:
         raise InputError("tree and configuration disagree on the vertex count")
-    p = c.points
+    start, src, nbr = tree._csr
+    vecs = _half_edge_vectors(tree, c.points)
+    # whether each half-edge is collinear with the first one leaving its vertex
+    collinear = are_collinear(vecs[start[src]], vecs).tolist()
+    start, nbr = start.tolist(), (nbr + 1).tolist()
     trips = [distance_triple(i, j) for i, j in tree.edges]
-    for i in range(1, tree.n + 1):
-        nb = sorted(neighbors(tree, i))
-        if len(nb) < 2:
+    for i in range(tree.n):
+        lo, hi = start[i], start[i + 1]
+        if hi - lo < 2:
             continue
+        nb = nbr[lo:hi]
         j_i = nb[0]
-        e_ref = p[i - 1] - p[j_i - 1]
-        hat = [j_i] + [k for k in nb[1:] if are_collinear(e_ref, p[i - 1] - p[k - 1])]
+        hat = [j_i] + [k for k, col in zip(nb[1:], collinear[lo + 1:hi]) if col]
         rest = [k for k in nb if k not in hat]
         if not rest:
             raise ConstructionError(
-                f"vertex {i}: all incident tree edges collinear, tree is not "
+                f"vertex {i + 1}: all incident tree edges collinear, tree is not "
                 "minimally infinitesimally weakly rigid"
             )
         for k in rest:
-            trips.append((i, j_i, k))
+            trips.append((i + 1, j_i, k))
         if len(hat) > 1:
             k_i = rest[0]
             for j in hat[1:]:
-                trips.append((i, min(j, k_i), max(j, k_i)))
+                trips.append((i + 1, min(j, k_i), max(j, k_i)))
     return TripleSet(tuple(trips))
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    iwr_count: int
-    total: int
-
-
-def generic_rigidity_probe(g: Graph, d: int, trials: int, seed: int) -> ProbeReport:
-    """Sample configurations with i.i.d. uniform [-1, 1] coordinates and count
-    how many are infinitesimally weakly rigid under the full triple set.
-
-    Weak rigidity is a generic property, so the count is almost surely either
-    0 or ``trials``. Trial seeds are derived as seed + trial index.
-    """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    full = full_triple_set(g)
-    count = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        pts = rng.uniform(-1.0, 1.0, size=(g.n, d))
-        fw = Framework(g, Configuration(pts))
-        if is_infinitesimally_weakly_rigid(fw, full):
-            count += 1
-    return ProbeReport(count, trials)

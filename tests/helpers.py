@@ -14,7 +14,6 @@ from weakrig import (
     TripleSet,
     distance_triple,
     full_triple_set,
-    neighbors,
     numerical_rank,
     residuals,
 )
@@ -264,8 +263,9 @@ def _has_edge(edges, i, j):
 def reference_full_triple_set(g):
     """Nested loop over each vertex's sorted neighbors; sorted tuples."""
     trips = [distance_triple(i, j) for i, j in g.edges]
+    adj = reference_adjacency(g.n, g.edges)
     for i in range(1, g.n + 1):
-        nb = sorted(neighbors(g, i))
+        nb = adj[i]
         for a in range(len(nb)):
             for b in range(a + 1, len(nb)):
                 trips.append((i, nb[a], nb[b]))
@@ -334,6 +334,99 @@ def reference_recorder_build(edges, positions):
     return elens, min_dist, numerical_rank(pos)
 
 
+# Reference graph construction and collinearity test: the per-edge validation
+# loop, the tuple adjacency and the per-pair collinearity loop the library used
+# before its CSR adjacency and stacked collinearity test.
+
+def reference_graph_edges(n, edges):
+    """Canonical sorted edges, or the error of the first bad edge in input
+    order; duplicates are reported only once every edge is valid."""
+    canon = []
+    for e in edges:
+        pair = tuple(int(v) for v in e)
+        if len(pair) != 2:
+            raise InputError(f"edge {e!r} is not a pair")
+        i, j = pair
+        if i == j:
+            raise InputError(f"self-loop at vertex {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise InputError(f"edge ({i},{j}) has an endpoint outside 1..{n}")
+        canon.append((min(i, j), max(i, j)))
+    if len(set(canon)) != len(canon):
+        raise InputError("duplicate edges")
+    return tuple(sorted(canon))
+
+
+def reference_adjacency(n, edges):
+    """Sorted neighbour tuple of each vertex 1..n (index 0 unused)."""
+    adj = [[] for _ in range(n + 1)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def reference_bfs(g):
+    """Visit order and parents of a queue BFS from vertex 1, 0-based, with an
+    unreached vertex's parent -1 and vertex 1 its own parent."""
+    adj = reference_adjacency(g.n, g.edges)
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    queue = deque([1])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if parent[v - 1] < 0:
+                parent[v - 1] = u - 1
+                order.append(v - 1)
+                queue.append(v)
+    return order, parent
+
+
+def reference_are_collinear(u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return True
+    w = u - v * ((u @ v) / (nv * nv))
+    return float(np.linalg.norm(w)) <= 1e-9 * nu
+
+
+def reference_collinearity_defects(f):
+    adj = reference_adjacency(f.n, f.graph.edges)
+    p = f.points
+    bad = []
+    for i in range(1, f.n + 1):
+        nb = adj[i]
+        if len(nb) < 2:
+            continue
+        vecs = [p[i - 1] - p[j - 1] for j in nb]
+        if all(reference_are_collinear(u, v) for a, u in enumerate(vecs) for v in vecs[a + 1:]):
+            bad.append(i)
+    return bad
+
+
+def reference_trivial_motion_basis(c):
+    """Rigid-motion columns built one loop iteration per column, then QR."""
+    n, d = c.n, c.d
+    p = c.points
+    cols = []
+    for a in range(d):
+        col = np.zeros((n, d))
+        col[:, a] = 1.0
+        cols.append(col.reshape(-1))
+    for a in range(d):
+        for b in range(a + 1, d):
+            gen = np.zeros((d, d))
+            gen[a, b] = -1.0
+            gen[b, a] = 1.0
+            cols.append((p @ gen.T).reshape(-1))
+    return np.linalg.qr(np.column_stack(cols))[0]
+
+
 # Reference graph and shape routines: the per-edge loops, the deque BFS and the
 # eigh-based recovery the library used before, kept so the gathers, scatters
 # and the tree-block recovery can be checked against them.
@@ -355,12 +448,13 @@ def reference_edge_vector_matrix(f):
 def reference_spanning_tree(g):
     """BFS from vertex 1 over a deque, neighbours ascending. Returns whether it
     reached every vertex, and the sorted tree edges."""
+    adj = reference_adjacency(g.n, g.edges)
     seen = {1}
     queue = deque([1])
     tree_edges = []
     while queue:
         u = queue.popleft()
-        for v in sorted(neighbors(g, u)):
+        for v in adj[u]:
             if v not in seen:
                 seen.add(v)
                 tree_edges.append((min(u, v), max(u, v)))

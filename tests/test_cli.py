@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,18 @@ class TestCheck:
         assert main(["check", hexagon_file, "--triples", str(tfile),
                      "--mode", "weak"]) == 1
         assert "IWR: no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["rigid", "weak", "graphical", "tree"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_points_exit_two(self, tmp_path, capsys, mode, n):
+        obj = {"n": n, "edges": [[1, 2]][:n - 1], "d": 2,
+               "points": [[0.0, 0.0], [1.0, 0.0]][:n]}
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -273,3 +289,15 @@ class TestSimulate:
         cfg_path.write_text(json.dumps({"law": "gradient"}))
         assert main(["simulate", str(cfg_path), str(tmp_path / "x")]) == 2
         assert "target" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["weakrig", "weakrig.cli"])
+    def test_failing_input_exits_nonzero(self, collinear_star_file, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-m", module, "check", collinear_star_file,
+                              "--mode", "graphical"], capture_output=True, text=True, env=env)
+        assert run.returncode == 1
+        assert run.stdout == "fails at vertex 1: all incident edges collinear\n"

@@ -7,6 +7,7 @@ from helpers import (
     random_triple_subset,
     reference_edge_weak_rigidity_matrix,
     reference_rigidity_matrix,
+    reference_trivial_motion_basis,
     reference_weak_rigidity_matrix,
     rel_err,
 )
@@ -286,6 +287,20 @@ class TestTrivialMotionBasis:
         with pytest.raises(DegenerateConfigurationError):
             trivial_motion_basis(Configuration(np.ones((4, 2))))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_reference_loop(self, d):
+        rng = np.random.default_rng(40 + d)
+        for trial in range(20):
+            n = int(rng.integers(d + 1, 9))
+            if trial % 2:
+                # exact and signed zeros; the first d + 1 points span R^d
+                pts = rng.choice([0.0, -0.0, 1.0, -2.5, 0.3], size=(n, d))
+                pts[:d + 1] = np.vstack([np.zeros(d), np.eye(d)])
+            else:
+                pts = rng.uniform(-1e3, 1e3, (n, d))
+            c = Configuration(pts)
+            assert np.array_equal(trivial_motion_basis(c), reference_trivial_motion_basis(c))
+
     def test_annihilation_property(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -316,8 +331,32 @@ class TestRankTests:
         with pytest.raises(UnsupportedRegimeError):
             is_infinitesimally_rigid(fw)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_points_rejected_by_every_rank_test(self, n):
+        fw = Framework(Graph(n, ((1, 2),) if n == 2 else ()),
+                       Configuration(np.array([[0.0, 0.0], [1.0, 0.0]])[:n]))
+        full = full_triple_set(fw.graph)
+        for test in (lambda: is_infinitesimally_rigid(fw),
+                     lambda: is_infinitesimally_weakly_rigid(fw, full),
+                     lambda: check_iwr_via_spanning_tree(fw, spanning_tree(fw.graph), full)):
+            with pytest.raises(UnsupportedRegimeError):
+                test()
+
     def test_hexagon_weakly_rigid(self, hexagon_framework, hexagon_triples):
         assert is_infinitesimally_weakly_rigid(hexagon_framework, hexagon_triples)
+
+    def test_generic_configurations(self, fourcycle_3d):
+        """Weak rigidity is generic: every random configuration of these graphs
+        gets the same answer under the full triple set."""
+        rng = np.random.default_rng(101)
+        cases = ((Graph(4, ((1, 2), (2, 3), (3, 4))), 2, True),
+                 (Graph(4, ((1, 2), (3, 4))), 2, False),
+                 (fourcycle_3d[0], 3, True))
+        for graph, d, expected in cases:
+            full = full_triple_set(graph)
+            for _ in range(10):
+                fw = Framework(graph, Configuration(rng.uniform(-1.0, 1.0, (graph.n, d))))
+                assert is_infinitesimally_weakly_rigid(fw, full) == expected
 
     def test_fourcycle_weakly_rigid_in_3d(self, fourcycle_3d):
         graph, ts = fourcycle_3d

@@ -11,6 +11,7 @@ from weakrig import (
     DivergenceError,
     FitError,
     GainMatrix,
+    Graph,
     InputError,
     Law,
     SimulationConfig,
@@ -219,7 +220,7 @@ class TestRecorderBuild:
     ])
     def test_matches_full_difference_array(self, n, d, samples, edges):
         rng = np.random.default_rng(n * 100 + d)
-        rec = simulate._Recorder(edges)
+        rec = simulate._Recorder(Graph(n, edges)._ends)
         for t in range(samples):
             pts = rng.uniform(-1.0, 1.0, (n, d))
             if t % 7 == 3:

@@ -1,6 +1,7 @@
-"""Property tests: the array-built triple sets and the graph's edge lookup
-against the per-triple reference loops in helpers.py, on generated graphs
-with 1..30 vertices (isolated vertices and edgeless graphs included)."""
+"""Property tests: the array-built graphs, triple sets, edge lookup and
+collinearity test against the per-edge, per-triple and per-pair reference
+loops in helpers.py, on generated graphs with 1..30 vertices (isolated
+vertices and edgeless graphs included)."""
 
 import numpy as np
 import pytest
@@ -10,20 +11,33 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
+    reference_adjacency,
+    reference_are_collinear,
+    reference_bfs,
     reference_build_formation_triples,
+    reference_collinearity_defects,
     reference_full_triple_set,
+    reference_graph_edges,
     reference_require_valid_for,
     reference_restrict_triples_to_tree,
     reference_validate_triples,
 )
 from weakrig import (  # noqa: E402
+    Configuration,
+    Framework,
     Graph,
     InputError,
     TripleSet,
+    are_collinear,
     build_formation_triples,
+    check_planar_graphical_condition,
+    collinearity_defects,
     full_triple_set,
+    neighbors,
     restrict_triples_to_tree,
 )
+from weakrig import triples as triples_module  # noqa: E402
+from weakrig.graphs import _bfs  # noqa: E402
 
 
 def _outcome(fn, *args):
@@ -136,3 +150,136 @@ def test_build_formation_triples_matches_reference(gs, data):
             gf = Graph(gs.n, gf.edges + ((a, b),))
     got = _outcome(lambda a, b: build_formation_triples(a, b).triples, gf, gs)
     assert got == _outcome(reference_build_formation_triples, gf, gs)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges of a random graph in random order and orientation, with a few
+    corruptions inserted: a non-pair, a self-loop, an end outside 1..n (also
+    beyond int64), a duplicate in either orientation, or an entry that is not
+    an integer."""
+    n = draw(st.integers(1, 15))
+    p = draw(st.sampled_from((0.0, 0.2, 0.5, 1.0)))
+    rng = _rng(draw)
+    edges = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p]
+    rng.shuffle(edges)
+    kinds = ("pair", "loop", "range", "huge", "duplicate", "type")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        v = int(rng.integers(1, n + 1))
+        if kind == "pair":
+            bad = tuple(range(v, v + int(rng.choice([0, 1, 3]))))
+        elif kind == "loop":
+            bad = (int(rng.integers(0, n + 2)),) * 2
+        elif kind == "range":
+            bad = (v, int(rng.choice([0, -1, n + 1, n + 7])))
+        elif kind == "huge":
+            bad = (v, 10**30) if rng.random() < 0.5 else (-(10**30), -(10**30))
+        elif kind == "duplicate" and edges:
+            i, j = edges[rng.integers(len(edges))]
+            bad = (j, i) if rng.random() < 0.5 else (i, j)
+        else:
+            bad = (v, "x") if rng.random() < 0.5 else (None, v)
+        edges.insert(int(rng.integers(len(edges) + 1)), bad[::int(rng.choice([-1, 1]))])
+    return n, edges
+
+
+def _error_text(fn, *args):
+    """The function's result, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (InputError, TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(edge_lists())
+def test_graph_matches_per_edge_loop(case):
+    n, edges = case
+    got = _error_text(lambda: Graph(n, tuple(edges)).edges)
+    assert got == _error_text(reference_graph_edges, n, edges)
+    if isinstance(got, tuple):
+        g = Graph(n, tuple(edges))
+        adj = reference_adjacency(n, got)
+        assert [neighbors(g, i) for i in range(1, n + 1)] == [set(a) for a in adj[1:]]
+        order, parent = _bfs(g)
+        assert (order.tolist(), parent.tolist()) == reference_bfs(g)
+
+
+@st.composite
+def vector_pairs(draw, d):
+    """(k, d) stacks u, v: pairs 1e-10..1e-7 of their length off a common line,
+    exactly collinear, generic, or with a zero vector, at scales 1e-3..1e3."""
+    k = draw(st.integers(0, 40))
+    rng = _rng(draw)
+    line = rng.normal(size=(k, d))
+    off = rng.normal(size=(k, d))
+    kind = rng.integers(0, 4, k)
+    eps = np.select([kind == 0, kind == 1], [10.0 ** rng.uniform(-10, -7, k), 0.0], 1.0)
+    u = (line * rng.choice([-1.0, 1.0], (k, 1)) + eps[:, None] * off) \
+        * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    v = line * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    u[kind == 3] = 0.0
+    v[(kind == 3) & (rng.random(k) < 0.5)] = 0.0
+    return (u, v) if rng.random() < 0.5 else (v, u)
+
+
+@given(st.sampled_from((2, 3)).flatmap(vector_pairs))
+def test_stacked_collinearity_matches_scalar(pair):
+    u, v = pair
+    expected = [reference_are_collinear(a, b) for a, b in zip(u, v)]
+    got = are_collinear(u, v)
+    assert got.dtype == bool and got.tolist() == expected
+    assert [are_collinear(a, b) for a, b in zip(u, v)] == expected
+    assert all(type(are_collinear(a, b)) is bool for a, b in zip(u[:2], v[:2]))
+    if u.shape[0] % 2 == 0:
+        shape = (2, u.shape[0] // 2, u.shape[1])
+        assert are_collinear(u.reshape(shape), v.reshape(shape)).ravel().tolist() == expected
+
+
+@st.composite
+def near_collinear_stars(draw):
+    """A star on vertex 1, and maybe edges among the leaves, with the leaves
+    1e-10..1e-7 (relative) off one line through the centre at scales
+    1e-3..1e3; some leaves coincide with the centre or with each other."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.sampled_from((2, 3)))
+    rng = _rng(draw)
+    star = [(1, v) for v in range(2, n + 1) if rng.random() < 0.9]
+    extra = [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.2]
+    line, off = rng.normal(size=(2, d))
+    t = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0], n)
+    eps = rng.choice([0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1.0], n) * rng.uniform(0.5, 2.0, n)
+    pts = t[:, None] * line + (eps * np.abs(t))[:, None] * off
+    pts[0] = 0.0
+    for v in range(1, n):
+        if rng.random() < 0.15:
+            pts[v] = pts[rng.integers(n)]  # coincident with another point
+    pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=d)
+    return Framework(Graph(n, tuple(star + extra)), Configuration(pts))
+
+
+@given(near_collinear_stars())
+def test_collinearity_defects_match_per_pair_loop(fw):
+    assert collinearity_defects(fw) == reference_collinearity_defects(fw)
+
+
+def test_graphical_test_checks_collinearity_once(monkeypatch):
+    calls = []
+    stacked = triples_module.are_collinear
+
+    def counted(u, v):
+        calls.append(np.shape(u)[0])
+        return stacked(u, v)
+
+    monkeypatch.setattr(triples_module, "are_collinear", counted)
+    rng = np.random.default_rng(12)
+    frameworks = 0
+    for n in (3, 8, 20, 40):
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if j == i + 1 or rng.random() < 0.3]
+        fw = Framework(Graph(n, tuple(edges)), Configuration(pts))
+        pairs = full_triple_set(fw.graph).s - fw.graph.m
+        assert check_planar_graphical_condition(fw)
+        frameworks += 1
+        assert len(calls) == frameworks and calls[-1] == pairs

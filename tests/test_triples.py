@@ -9,14 +9,12 @@ from weakrig import (
     DomainError,
     Framework,
     Graph,
-    InputError,
     NoValidExtensionError,
     UnsupportedDimensionError,
     check_planar_graphical_condition,
     collinearity_defects,
     edge_weak_rigidity_matrix,
     full_triple_set,
-    generic_rigidity_probe,
     is_infinitesimally_weakly_rigid,
     min_iwr_spanning_tree,
     minimal_triple_set,
@@ -185,30 +183,3 @@ class TestMinimalTripleSet:
         t2 = minimal_triple_set(min_iwr_spanning_tree(hexagon_framework),
                                 hexagon_framework.config)
         assert t1 == t2
-
-
-class TestGenericRigidityProbe:
-    def test_connected_planar_graph_always_rigid(self):
-        g = Graph(4, ((1, 2), (2, 3), (3, 4)))
-        report = generic_rigidity_probe(g, 2, trials=20, seed=101)
-        assert (report.iwr_count, report.total) == (20, 20)
-
-    def test_disconnected_graph_never_rigid(self):
-        g = Graph(4, ((1, 2), (3, 4)))
-        report = generic_rigidity_probe(g, 2, trials=10, seed=5)
-        assert report.iwr_count == 0
-
-    def test_fourcycle_generically_rigid_in_3d(self, fourcycle_3d):
-        graph, _ = fourcycle_3d
-        report = generic_rigidity_probe(graph, 3, trials=20, seed=17)
-        assert report.iwr_count == 20
-
-    def test_trials_validated(self):
-        with pytest.raises(InputError):
-            generic_rigidity_probe(Graph(2, ((1, 2),)), 2, trials=0, seed=1)
-
-    def test_deterministic(self):
-        g = Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
-        a = generic_rigidity_probe(g, 2, trials=7, seed=99)
-        b = generic_rigidity_probe(g, 2, trials=7, seed=99)
-        assert a == b
