@@ -132,6 +132,34 @@ class TestMinIwrSpanningTree:
             min_iwr_spanning_tree(fw)
 
 
+class TestGenericRigidityProbe:
+    """Weak rigidity is generic: configurations with i.i.d. uniform [-1, 1]
+    coordinates (trial seeds seed + trial index) all get the same answer
+    under the full triple set."""
+
+    @staticmethod
+    def iwr_count(g, d, trials, seed):
+        full = full_triple_set(g)
+        return sum(
+            is_infinitesimally_weakly_rigid(
+                Framework(g, Configuration(
+                    np.random.default_rng(seed + trial).uniform(-1.0, 1.0, (g.n, d)))),
+                full)
+            for trial in range(trials))
+
+    def test_connected_planar_graph_always_rigid(self):
+        g = Graph(4, ((1, 2), (2, 3), (3, 4)))
+        assert self.iwr_count(g, 2, trials=20, seed=101) == 20
+
+    def test_disconnected_graph_never_rigid(self):
+        g = Graph(4, ((1, 2), (3, 4)))
+        assert self.iwr_count(g, 2, trials=10, seed=5) == 0
+
+    def test_fourcycle_generically_rigid_in_3d(self, fourcycle_3d):
+        graph, _ = fourcycle_3d
+        assert self.iwr_count(graph, 3, trials=20, seed=17) == 20
+
+
 class TestMinimalTripleSet:
     def test_hexagon_reproduces_published_set(self, hexagon_framework, hexagon_triples):
         tree = min_iwr_spanning_tree(hexagon_framework)
