@@ -26,14 +26,13 @@ from .errors import (
     NoValidExtensionError,
 )
 from .framework import (
+    _edge_weak_rigidity_operator,
     _require_enough_points,
-    edge_weak_rigidity_matrix,
+    _rigidity_operator,
+    _weak_rigidity_operator,
     required_rank,
-    rigidity_matrix,
-    weak_rigidity_matrix,
 )
 from .graphs import is_connected, spanning_tree
-from .linalg import numerical_rank
 from .simulate import convergence_rate, integrate, monitor_invariants
 from .triples import (
     check_planar_graphical_condition,
@@ -68,19 +67,19 @@ def _cmd_check(args) -> int:
     if args.mode != "rigid":
         triples = (fileio.triples_from_dict(fileio.load_json(args.triples))
                    if args.triples else full_triple_set(fw.graph))
-    # each mode builds its matrix once and compares its rank to required_rank,
-    # as is_infinitesimally_rigid, is_infinitesimally_weakly_rigid and
-    # check_iwr_via_spanning_tree do
+    # each mode takes the rank of its operator once and compares it to
+    # required_rank, as is_infinitesimally_rigid,
+    # is_infinitesimally_weakly_rigid and check_iwr_via_spanning_tree do
     _require_enough_points(fw.n, fw.d)
     if args.mode == "rigid":
-        label, matrix = "infinitesimally rigid", rigidity_matrix(fw)
+        label, op = "infinitesimally rigid", _rigidity_operator(fw)
     elif args.mode == "weak":
-        label, matrix = "IWR", weak_rigidity_matrix(fw, triples)
+        label, op = "IWR", _weak_rigidity_operator(fw, triples)
     else:  # sufficient test on the BFS spanning tree
         label = "IWR via spanning tree"
-        matrix = edge_weak_rigidity_matrix(fw, spanning_tree(fw.graph), triples)
+        op = _edge_weak_rigidity_operator(fw, spanning_tree(fw.graph), triples)
     req = required_rank(fw.n, fw.d)
-    rank = numerical_rank(matrix)
+    rank = op.rank(fw.points)
     ok = rank == req
     note = "; inconclusive for d >= 3" if args.mode == "tree" and not ok else ""
     print(f"{label}: {'yes' if ok else 'no'} (rank {rank}/{req}{note})")

@@ -66,7 +66,7 @@ def graph_from_dict(obj: dict) -> Graph:
     edges = _get(obj, "edges", list, "a list of [i, j] pairs")
     try:
         return Graph(n, tuple(tuple(e) for e in edges))
-    except (InputError, TypeError) as exc:
+    except (InputError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"field 'edges': {exc}") from exc
 
 
@@ -89,7 +89,7 @@ def triples_from_dict(obj: dict) -> TripleSet:
     trips = _get(obj, "triples", list, "a list of [i, j, k] triples")
     try:
         return TripleSet(tuple(tuple(t) for t in trips))
-    except (InputError, TypeError) as exc:
+    except (InputError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"field 'triples': {exc}") from exc
 
 

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .graphs import Graph, _int_rows, _raise_first_failing, is_connected
-from .linalg import numerical_rank
+from .linalg import _rank_of, numerical_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,27 +176,30 @@ class _ConstraintOperator:
     A slot with sign -1 reads its edge with head and tail swapped, which is
     exact, so one gather of ``_idx`` and one subtraction give every signed
     slot vector. On vertex columns the first 2s slots are the e1 and e2 table.
+
+    Every row is zero outside the columns its apex's slots touch, so rank
+    tests reduce each apex's rows to an R factor (``reduced``) and never form
+    the dense matrix.
     """
 
-    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail, neg):
+    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail):
         self.s, self.d, self.ncols = t.s, d, ncols
         self._row, self._col = row, col
+        self._apex = t._idx[0]  # of each row
         # slot vectors are pts[_idx[:K]] - pts[_idx[K:]]
-        self._idx = np.concatenate([np.where(neg, tail, head), np.where(neg, head, tail)])
+        self._idx = np.concatenate([head, tail])
 
     @classmethod
     def on_vertices(cls, t: TripleSet, n: int, d: int, barred: bool = False):
         """R_w over vertex columns; Rbar when ``barred`` (leg slots on distance rows only)."""
         ap, l1, l2 = t._idx
-        s = t.s
-        rows = np.arange(s)
+        rows = np.arange(t.s)
         legs = rows[l1 == l2] if barred else rows
         return cls(t, d, n,
                    row=np.concatenate([rows, rows, legs, legs]),
                    col=np.concatenate([ap, ap, l1[legs], l2[legs]]),
-                   head=np.concatenate([ap, ap, ap[legs], ap[legs]]),
-                   tail=np.concatenate([l1, l2, l2[legs], l1[legs]]),
-                   neg=np.arange(2 * s + 2 * legs.size) >= 2 * s)
+                   head=np.concatenate([ap, ap, l2[legs], l1[legs]]),
+                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]))
 
     @classmethod
     def on_tree_edges(cls, t: TripleSet, tree: Graph, d: int):
@@ -206,12 +209,13 @@ class _ConstraintOperator:
         rows = np.arange(t.s)
         apex = np.concatenate([ap, ap])
         legs = np.concatenate([l1, l2])
+        other = np.concatenate([l2, l1])
+        neg = apex < legs
         return cls(t, d, tree.m,
                    row=np.concatenate([rows, rows]),
                    col=tree._edge_ids(apex, legs),
-                   head=apex,
-                   tail=np.concatenate([l2, l1]),
-                   neg=apex < legs)
+                   head=np.where(neg, other, apex),
+                   tail=np.where(neg, apex, other))
 
     def slots(self, pts: np.ndarray) -> np.ndarray:
         """(K, d) signed slot vectors at the (n, d) points."""
@@ -224,6 +228,110 @@ class _ConstraintOperator:
         cells = ((self._row * self.ncols + self._col) * self.d)[:, None] + np.arange(self.d)
         return np.bincount(cells.ravel(), self.slots(pts).ravel(),
                            minlength=self.s * width).reshape(self.s, width)
+
+    def reduced(self, pts: np.ndarray) -> np.ndarray:
+        """A short matrix with the singular values of ``dense(pts)``.
+
+        The rows of one apex touch only its local columns, the distinct
+        columns of its slots, and form its block. A block taller than wide is
+        replaced by its R factor: orthogonal row transforms keep the singular
+        values. Such blocks are stacked by width, zero-padded to the tallest
+        (zero rows add no singular value), and each stack takes one QR; the R
+        rows are then scattered back to the global columns. Other blocks pass
+        through unchanged. Every slot lands in the order ``dense`` adds it, so
+        every cell is the same sum.
+        """
+        lay, d, k = _ApexBlocks(self), self.d, self._row.size
+
+        def scatter(slots, size):
+            sel = lay.order[slots]
+            vals = pts.take(self._idx[sel], axis=0) - pts.take(self._idx[k + sel], axis=0)
+            cells = lay.cells[slots, None] + np.arange(d)
+            return np.bincount(cells.ravel(), vals.ravel(), minlength=size)
+
+        width = self.ncols * d
+        # bincount of no slots would give integer zeros
+        out = (scatter(lay.direct, lay.rows * width) if lay.direct.stop
+               else np.zeros(lay.rows * width)).reshape(lay.rows, width)
+        for slots, shape, cols, start in lay.stacks:
+            v, h, w = shape
+            r = np.linalg.qr(scatter(slots, v * h * w).reshape(shape), mode="r")
+            dest = out[start:start + v * w].reshape(v, w, width)
+            np.put_along_axis(dest, np.broadcast_to(cols, r.shape), r, axis=2)
+        return out
+
+    def rank(self, pts: np.ndarray) -> int:
+        """``numerical_rank(dense(pts))``: the singular values of ``reduced``
+        against the tolerance of the (s, ncols*d) shape."""
+        r = self.reduced(pts)
+        if r.size == 0:
+            return 0
+        return int(_rank_of(np.linalg.svd(r, compute_uv=False), (self.s, self.ncols * self.d)))
+
+
+class _ApexBlocks:
+    """Where each slot of an operator lands in ``reduced``.
+
+    A block is the rows of one apex over its local columns. A block with more
+    rows than columns is tall and goes to the stack of its width; the rows of
+    the other blocks pass through to the top of the reduced matrix, in row
+    order. Slots are taken in ``order``: those passing through (``direct``)
+    first, then stack by stack, each group in slot order. Sorted slot k adds
+    to flat cell ``cells[k] + coordinate`` of the reduced matrix or of its
+    stack. Each entry of ``stacks`` holds its slice of the sorted slots, the
+    stack shape (blocks, rows, width*d), the global column of each block
+    column, and the first reduced row of its R factors.
+    """
+
+    def __init__(self, op: _ConstraintOperator):
+        d = op.d
+        keys, slot_key = np.unique(op._apex[op._row] * op.ncols + op._col, return_inverse=True)
+        key_apex, global_col = np.divmod(keys, op.ncols)
+        first = np.flatnonzero(np.diff(key_apex, prepend=-1))  # first key of each block
+        width = np.diff(np.r_[first, keys.size])
+        key_block = np.repeat(np.arange(first.size), width)
+        local_col = np.arange(keys.size) - first[key_block]
+        slot_block = key_block[slot_key]
+        row_block = np.empty(op.s, dtype=np.int64)
+        row_block[op._row] = slot_block
+        height = np.bincount(row_block, minlength=first.size)
+        tall = height > width * d
+        # stack key 0 gathers the blocks passing through, so they sort first
+        widths, block_stack = np.unique(np.where(tall, width, 0), return_inverse=True)
+        tallest = np.zeros(widths.size, dtype=np.int64)
+        np.maximum.at(tallest, block_stack, height)
+        row_pos = _rank_in_group(np.where(tall[row_block], row_block, first.size))
+
+        slot_stack = block_stack[slot_block]
+        slot_row = row_pos[op._row]
+        in_stack = ((_rank_in_group(block_stack)[slot_block] * tallest[slot_stack] + slot_row)
+                    * widths[slot_stack] + local_col[slot_key])
+        in_reduced = slot_row * op.ncols + op._col
+        self.order = np.argsort(slot_stack, kind="stable")
+        self.cells = np.where(tall[slot_block], in_stack, in_reduced)[self.order] * d
+
+        bounds = np.r_[0, np.cumsum(np.bincount(slot_stack, minlength=widths.size))].tolist()
+        passing = int(widths.size > 0 and widths[0] == 0)
+        self.direct = slice(0, bounds[passing])
+        self.rows = op.s - int(height[tall].sum())
+        self.stacks = []
+        for c in range(passing, widths.size):
+            w = int(widths[c])
+            blocks = np.flatnonzero(block_stack == c)
+            cols = global_col[first[blocks, None] + np.arange(w)][:, :, None] * d + np.arange(d)
+            self.stacks.append((slice(bounds[c], bounds[c + 1]),
+                                (blocks.size, int(tallest[c]), w * d),
+                                cols.reshape(blocks.size, 1, w * d), self.rows))
+            self.rows += blocks.size * w * d
+
+
+def _rank_in_group(group: np.ndarray) -> np.ndarray:
+    """Position of each element among the elements of its group, in index order."""
+    order = np.argsort(group, kind="stable")
+    size = np.bincount(group)
+    pos = np.empty(group.size, dtype=np.int64)
+    pos[order] = np.arange(group.size) - np.repeat(np.cumsum(size) - size, size)
+    return pos
 
 
 def _distance_triples(g: Graph) -> TripleSet:
@@ -242,10 +350,24 @@ def rigidity_function(f: Framework) -> np.ndarray:
     return _triple_values(f.points, _distance_triples(f.graph))
 
 
+def _rigidity_operator(f: Framework) -> _ConstraintOperator:
+    return _ConstraintOperator.on_vertices(_distance_triples(f.graph), f.n, f.d)
+
+
+def _weak_rigidity_operator(f: Framework, t: TripleSet) -> _ConstraintOperator:
+    t.require_valid_for(f.graph)
+    return _ConstraintOperator.on_vertices(t, f.n, f.d)
+
+
+def _edge_weak_rigidity_operator(f: Framework, tree: Graph, t: TripleSet) -> _ConstraintOperator:
+    t.require_valid_for(f.graph)
+    require_spanning_tree(tree, f.graph)
+    return _ConstraintOperator.on_tree_edges(restrict_triples_to_tree(tree, t), tree, f.d)
+
+
 def rigidity_matrix(f: Framework) -> np.ndarray:
     """(m, n*d) Jacobian of the squared edge lengths with respect to p."""
-    t = _distance_triples(f.graph)
-    return _ConstraintOperator.on_vertices(t, f.n, f.d).dense(f.points)
+    return _rigidity_operator(f).dense(f.points)
 
 
 def weak_rigidity_function(f: Framework, t: TripleSet) -> np.ndarray:
@@ -260,8 +382,7 @@ def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:
     Row of (i, j, k): (e_ij + e_ik)^T in apex block, -e_ik^T at j, -e_ij^T at
     k; for j == k the leg contributions accumulate to -2 e_ij^T.
     """
-    t.require_valid_for(f.graph)
-    return _ConstraintOperator.on_vertices(t, f.n, f.d).dense(f.points)
+    return _weak_rigidity_operator(f, t).dense(f.points)
 
 
 def require_spanning_tree(tree: Graph, graph: Graph) -> None:
@@ -289,10 +410,7 @@ def edge_weak_rigidity_matrix(f: Framework, tree: Graph, t: TripleSet) -> np.nda
     ``edge_matrix @ kron(H_tree, I_d) == weak_rigidity_matrix`` holds row-wise
     on the restricted triple set.
     """
-    t.require_valid_for(f.graph)
-    require_spanning_tree(tree, f.graph)
-    kept = restrict_triples_to_tree(tree, t)
-    return _ConstraintOperator.on_tree_edges(kept, tree, f.d).dense(f.points)
+    return _edge_weak_rigidity_operator(f, tree, t).dense(f.points)
 
 
 def trivial_motion_basis(c: Configuration) -> np.ndarray:
@@ -325,19 +443,19 @@ def _require_enough_points(n: int, d: int) -> None:
 
 def is_infinitesimally_rigid(f: Framework) -> bool:
     _require_enough_points(f.n, f.d)
-    return numerical_rank(rigidity_matrix(f)) == required_rank(f.n, f.d)
+    return _rigidity_operator(f).rank(f.points) == required_rank(f.n, f.d)
 
 
 def is_infinitesimally_weakly_rigid(f: Framework, t: TripleSet) -> bool:
     _require_enough_points(f.n, f.d)
-    return numerical_rank(weak_rigidity_matrix(f, t)) == required_rank(f.n, f.d)
+    return _weak_rigidity_operator(f, t).rank(f.points) == required_rank(f.n, f.d)
 
 
 def check_iwr_via_spanning_tree(f: Framework, tree: Graph, t: TripleSet) -> bool:
     """Sufficient test via the tree-edge Jacobian; False is inconclusive for d >= 3."""
     _require_enough_points(f.n, f.d)
-    r = edge_weak_rigidity_matrix(f, tree, t)
-    return numerical_rank(r) == required_rank(f.n, f.d)
+    op = _edge_weak_rigidity_operator(f, tree, t)
+    return op.rank(f.points) == required_rank(f.n, f.d)
 
 
 def points_span_full_dimension(c: Configuration) -> bool:

@@ -15,11 +15,16 @@ def numerical_rank(m):
     a = np.asarray(m, dtype=float)
     if a.size == 0:
         return 0 if a.ndim <= 2 else np.zeros(a.shape[:-2], dtype=np.intp)
-    s = np.linalg.svd(a, compute_uv=False)
-    tol = max(a.shape[-2:]) * s[..., :1] * RANK_RTOL
-    tol[tol == 0.0] = 1e-12
-    ranks = np.count_nonzero(s > tol, axis=-1)
+    ranks = _rank_of(np.linalg.svd(a, compute_uv=False), a.shape[-2:])
     return int(ranks) if a.ndim == 2 else ranks
+
+
+def _rank_of(sv, shape):
+    """Count the singular values (..., k) above ``max(shape) * smax * 1e-10``
+    (floor 1e-12), where ``shape`` is that of the matrix they came from."""
+    tol = max(shape) * sv[..., :1] * RANK_RTOL
+    tol[tol == 0.0] = 1e-12
+    return np.count_nonzero(sv > tol, axis=-1)
 
 
 def _dot(u, v):

@@ -81,11 +81,12 @@ class InvariantReport:
 
 
 class _Recorder:
-    """Samples in arrays whose capacity doubles when full, so memory follows
-    the samples taken, not the step cap."""
+    """Samples in arrays whose capacity doubles when full, up to the most
+    samples the run can take, so memory follows the samples taken."""
 
-    def __init__(self, ends):
+    def __init__(self, ends, max_samples: int):
         self._ends = ends  # 0-based edge ends, as Graph._ends
+        self._max = max_samples
         self._size = self._capacity = 0
         self._data = ()  # times (T,), positions (T, n, d), residuals (T, s), costs (T,)
 
@@ -93,7 +94,7 @@ class _Recorder:
         k = self._size
         sample = (t, pts, delta, cost)
         if k == self._capacity:
-            self._capacity = max(2 * k, _FIRST_CAPACITY)
+            self._capacity = min(max(2 * k, _FIRST_CAPACITY), self._max)
             grown = [np.empty((self._capacity,) + np.shape(x)) for x in sample]
             for new, old in zip(grown, self._data):
                 new[:k] = old
@@ -136,10 +137,11 @@ def integrate(cfg: SimulationConfig) -> SimulationTrace:
     the finite floats.
     """
     ev = ControlEvaluator(cfg.controller)
-    rec = _Recorder(cfg.controller.target.graph._ends)
-    pts = cfg.initial.points.copy()
     h = cfg.h
     n_steps = cfg.n_steps
+    # the start, every record_every-th step, and a last step or stop between them
+    rec = _Recorder(cfg.controller.target.graph._ends, n_steps // cfg.record_every + 2)
+    pts = cfg.initial.points.copy()
 
     # the velocity at the current state doubles as the next step's first stage
     vel, delta = ev.velocity_and_residuals(pts)

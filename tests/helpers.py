@@ -151,6 +151,12 @@ def reference_edge_weak_rigidity_matrix(f, tree, t):
     return r
 
 
+def reference_rank(op, pts):
+    """The dense rank test that the apex-blocked reduction replaced: the rank
+    of the whole (s, ncols*d) matrix of a constraint operator."""
+    return numerical_rank(op.dense(pts))
+
+
 def reference_barred_weak_rigidity_matrix(p, tgt):
     """``np.add.at`` scatter; leg blocks only on distance rows."""
     ap, l1, l2 = _triple_index_arrays(tgt.triples)

@@ -9,6 +9,7 @@ import pytest
 
 from test_fileio import gain_dict, hexagon_framework_dict, hexagon_target_dict
 from weakrig.cli import main
+from weakrig.framework import _ConstraintOperator
 
 
 @pytest.fixture
@@ -103,6 +104,34 @@ class TestCheck:
 
     def test_missing_file_exits_two(self):
         assert main(["check", "/nonexistent/f.json"]) == 2
+
+    @pytest.mark.parametrize("field, edges, triples", [
+        ("edges", [[1, 2], ["a", 3]], None),
+        ("triples", [[1, 2], [1, 3]], [[1, 2, 100000000000000000000000000000]]),
+    ])
+    def test_unconvertible_entry_exits_two(self, tmp_path, capsys, field, edges, triples):
+        """A non-integer label or one beyond int64 is an input error, not a
+        failed check with a traceback."""
+        fw = tmp_path / "fw.json"
+        fw.write_text(json.dumps({"n": 3, "edges": edges, "d": 2,
+                                  "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}))
+        argv = ["check", str(fw), "--mode", "weak"]
+        if triples is not None:
+            tfile = tmp_path / "triples.json"
+            tfile.write_text(json.dumps({"triples": triples}))
+            argv += ["--triples", str(tfile)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: field '{field}': ")
+
+    @pytest.mark.parametrize("mode, code", [("weak", 0), ("rigid", 1), ("tree", 0)])
+    def test_rank_forms_no_dense_matrix(self, hexagon_file, monkeypatch, mode, code):
+        def refuse(op, pts):
+            raise AssertionError("dense constraint matrix formed")
+
+        monkeypatch.setattr(_ConstraintOperator, "dense", refuse)
+        assert main(["check", hexagon_file, "--mode", mode]) == code
 
 
 class TestTstar:

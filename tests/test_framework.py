@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import (
     fd_jacobian,
+    random_connected_graph,
     random_framework,
     random_triple_subset,
     reference_edge_weak_rigidity_matrix,
@@ -27,6 +30,7 @@ from weakrig import (
     incidence,
     is_infinitesimally_rigid,
     is_infinitesimally_weakly_rigid,
+    numerical_rank,
     points_span_full_dimension,
     required_rank,
     restrict_triples_to_tree,
@@ -37,6 +41,7 @@ from weakrig import (
     weak_rigidity_function,
     weak_rigidity_matrix,
 )
+from weakrig.framework import _ConstraintOperator
 
 RIGHT_TRIANGLE = Framework(
     Graph(3, ((1, 2), (1, 3), (2, 3))),
@@ -370,6 +375,48 @@ class TestRankTests:
                 ts = TripleSet(tuple(distance_triple(i, j) for i, j in fw.graph.edges))
                 assert is_infinitesimally_weakly_rigid(fw, ts)
         assert hits > 0
+
+    def test_rank_tests_form_no_dense_matrix(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        cases = [random_framework(rng, int(rng.integers(d + 1, 9)), d)
+                 for d in (1, 2, 3) for _ in range(3)]
+
+        def decisions():
+            return [(is_infinitesimally_rigid(fw),
+                     is_infinitesimally_weakly_rigid(fw, full_triple_set(fw.graph)),
+                     check_iwr_via_spanning_tree(fw, spanning_tree(fw.graph),
+                                                 full_triple_set(fw.graph)),
+                     points_span_full_dimension(fw.config)) for fw in cases]
+
+        def refuse(op, pts):
+            raise AssertionError("dense constraint matrix formed")
+
+        expected = [(numerical_rank(rigidity_matrix(fw)) == required_rank(fw.n, fw.d),
+                     numerical_rank(weak_rigidity_matrix(fw, full_triple_set(fw.graph)))
+                     == required_rank(fw.n, fw.d),
+                     numerical_rank(edge_weak_rigidity_matrix(
+                         fw, spanning_tree(fw.graph), full_triple_set(fw.graph)))
+                     == required_rank(fw.n, fw.d),
+                     points_span_full_dimension(fw.config)) for fw in cases]
+        monkeypatch.setattr(_ConstraintOperator, "dense", refuse)
+        assert decisions() == expected
+
+    def test_weak_rank_memory_is_bounded(self):
+        """Dense n=70, s = 18,183: R_w alone would take s*n*d*8 = 20.4 MB, and
+        the rank test peaked at 25.0 MB while it formed R_w. Holding the
+        operator, its block layout and the reduced matrix, it peaks at 9.9 MB,
+        below half of R_w."""
+        rng = np.random.default_rng(17)
+        fw = random_framework(rng, 70, 2, graph=random_connected_graph(rng, 70, 0.3))
+        full = full_triple_set(fw.graph)
+        dense_bytes = full.s * fw.n * fw.d * 8
+        tracemalloc.start()
+        try:
+            assert is_infinitesimally_weakly_rigid(fw, full)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 2
 
     def test_rank_bound(self):
         rng = np.random.default_rng(13)

@@ -220,7 +220,7 @@ class TestRecorderBuild:
     ])
     def test_matches_full_difference_array(self, n, d, samples, edges):
         rng = np.random.default_rng(n * 100 + d)
-        rec = simulate._Recorder(Graph(n, edges)._ends)
+        rec = simulate._Recorder(Graph(n, edges)._ends, samples)
         for t in range(samples):
             pts = rng.uniform(-1.0, 1.0, (n, d))
             if t % 7 == 3:
@@ -267,8 +267,9 @@ class TestRecorderBuild:
         assert peak < 16e6
 
     def test_samples_held_before_build(self, hexagon_target, monkeypatch):
-        """A 20,001-sample hexagon run held 9.8 MB as one small ndarray per sample;
-        arrays of doubling capacity hold the same samples in about 6 MB."""
+        """A 20,001-sample hexagon run held 9.8 MB as one small ndarray per sample,
+        and 6.0 MB in arrays of doubling capacity; capped at the 20,002 samples
+        the run can take, they hold 3.7 MB."""
         held = []
         build = simulate._Recorder.build
 
@@ -286,7 +287,36 @@ class TestRecorderBuild:
             assert len(integrate(cfg)) == 20001
         finally:
             tracemalloc.stop()
-        assert held[0] < 7e6
+        assert held[0] < 4e6
+
+    def test_capacity_stops_at_run_length(self, hexagon_target, monkeypatch):
+        """A full-length run fills the recorder to its cap, never past it, and
+        its trace is bit-identical to one whose recorder may keep doubling."""
+        rng = np.random.default_rng(9)
+        start = Configuration(hexagon_target.witness.points + rng.normal(0.0, 0.3, (6, 2)))
+        cfg = SimulationConfig(start, ControllerSpec(Law.GRADIENT, hexagon_target),
+                               t_max=30.0, record_every=3, stop_cost=0.0)
+        cap = cfg.n_steps // cfg.record_every + 2
+        capacities = []
+        add = simulate._Recorder.add
+
+        def watched(rec, *args):
+            add(rec, *args)
+            capacities.append(rec._capacity)
+
+        monkeypatch.setattr(simulate._Recorder, "add", watched)
+        capped = integrate(cfg)
+        assert len(capped) == cap - 1 and max(capacities) == cap
+        init = simulate._Recorder.__init__
+        monkeypatch.setattr(simulate._Recorder, "__init__",
+                            lambda rec, ends, _: init(rec, ends, 10**9))
+        capacities.clear()
+        uncapped = integrate(cfg)
+        assert max(capacities) == 1024
+        for field in ("times", "positions", "residuals", "residual_norm", "cost",
+                      "edge_lengths", "centroid", "min_distance", "rank_p"):
+            assert np.array_equal(getattr(capped, field), getattr(uncapped, field)), field
+        assert capped.termination == uncapped.termination == "t_max"
 
 
 class TestConvergenceRate:
