@@ -107,7 +107,7 @@ def _cmd_tstar(args) -> int:
 def _cmd_jacobian(args) -> int:
     tgt = fileio.target_from_dict(fileio.load_json(args.target))
 
-    if args.search:
+    if args.search is not None:
         found = gain_search(tgt, args.search, args.seed)
         if found is None:
             print("none found")

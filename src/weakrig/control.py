@@ -268,15 +268,25 @@ def sort_eigenvalues(ev: np.ndarray) -> np.ndarray:
     return ev[np.lexsort((-ev.imag, -ev.real))]
 
 
+def _stable(ev: np.ndarray, d: int):
+    """Verdicts (...) and tolerances (..., 1) for eigenvalues (..., N): with
+    tol = 1e-6 * max(1, max |lambda|), exactly d(d+1)/2 of them within tol of
+    zero and every other with real part above tol."""
+    mag = np.abs(ev)
+    tol = 1e-6 * np.maximum(1.0, mag.max(axis=-1, initial=0.0, keepdims=True))
+    near_zero = mag <= tol
+    ok = ((np.count_nonzero(near_zero, axis=-1) == d * (d + 1) // 2)
+          & np.all(near_zero | (ev.real > tol), axis=-1))
+    return ok, tol
+
+
 def classify_stability(j: np.ndarray, d: int) -> StabilityReport:
     """Stable: exactly d(d+1)/2 eigenvalues at zero (within tolerance), the
     rest with positive real part. Unstable: any eigenvalue with real part
     below -tolerance. Marginal otherwise."""
     ev = sort_eigenvalues(np.linalg.eigvals(np.asarray(j, dtype=float)))
-    tol = 1e-6 * max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
-    near_zero = np.abs(ev) <= tol
-    expected_zeros = d * (d + 1) // 2
-    if int(near_zero.sum()) == expected_zeros and np.all(ev.real[~near_zero] > tol):
+    stable, tol = _stable(ev, d)
+    if stable:
         verdict = Verdict.STABLE
     elif np.any(ev.real < -tol):
         verdict = Verdict.UNSTABLE
@@ -285,18 +295,42 @@ def classify_stability(j: np.ndarray, d: int) -> StabilityReport:
     return StabilityReport(verdict, ev)
 
 
+def _diagonal_gain_jacobians(tgt: FormationTarget, k: np.ndarray) -> np.ndarray:
+    """``jacobian_at_target`` for each diagonal gain of the (B, n, d) stack ``k``,
+    bit for bit. The einsum of ``_apply_gain`` sums every entry from +0.0, so
+    a -0.0 product comes out +0.0; adding +0.0 does the same here, since the
+    sign of a zero changes what ``eigvals`` returns."""
+    n, d = tgt.n, tgt.d
+    j = k[:, :, :, None] * tgt._rbar_t_rw.reshape(n, d, n * d)
+    j += 0.0
+    return j.reshape(-1, n * d, n * d)
+
+
+# blocks of consecutive trials double from the first size to the last, so an
+# early find wastes few trials; a block's Jacobians hold at most
+# _BLOCK_ENTRIES floats, which bounds memory on large targets
+_FIRST_BLOCK, _LAST_BLOCK, _BLOCK_ENTRIES = 4, 64, 1 << 20
+
+
 def gain_search(tgt: FormationTarget, trials: int, seed: int) -> GainMatrix | None:
     """Sample diagonal gain blocks with entries uniform on [-1.5, 1.5] and
     return the first stabilizing gain, or None. Trial seeds are derived as
-    seed + trial index, so results are reproducible and trials independent."""
+    seed + trial index, so results are reproducible and trials independent.
+    Blocks of consecutive trials share one Jacobian broadcast and one stacked
+    ``eigvals`` call."""
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     n, d = tgt.n, tgt.d
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        entries = rng.uniform(-1.5, 1.5, size=(n, d))
-        gain = GainMatrix(tuple(np.diag(row) for row in entries))
-        report = classify_stability(jacobian_at_target(tgt, gain), d)
-        if report.verdict is Verdict.STABLE:
-            return gain
+    cap = max(1, min(_LAST_BLOCK, _BLOCK_ENTRIES // (n * d) ** 2))
+    start, size = 0, min(_FIRST_BLOCK, cap)
+    while start < trials:
+        stop = min(trials, start + size)
+        k = np.stack([np.random.default_rng(seed + trial).uniform(-1.5, 1.5, size=(n, d))
+                      for trial in range(start, stop)])
+        stable, _ = _stable(np.linalg.eigvals(_diagonal_gain_jacobians(tgt, k)), d)
+        if stable.any():
+            return GainMatrix(tuple(np.diag(row) for row in k[stable.argmax()]))
+        start, size = stop, min(2 * size, cap)
     return None

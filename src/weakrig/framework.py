@@ -180,11 +180,16 @@ class _ConstraintOperator:
     Every row is zero outside the columns its apex's slots touch, so rank
     tests reduce each apex's rows to an R factor (``reduced``) and never form
     the dense matrix.
+
+    ``apex_col`` is 1 when every row has a slot on its apex's column (vertex
+    columns) and 0 when none has (tree-edge columns). It is None for Rbar,
+    whose angle rows have no leg slots, so no count bound on legs holds.
     """
 
-    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail):
+    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail, apex_col):
         self.s, self.d, self.ncols = t.s, d, ncols
         self._row, self._col = row, col
+        self._t, self._apex_col = t, apex_col
         self._apex = t._idx[0]  # of each row
         # slot vectors are pts[_idx[:K]] - pts[_idx[K:]]
         self._idx = np.concatenate([head, tail])
@@ -199,7 +204,8 @@ class _ConstraintOperator:
                    row=np.concatenate([rows, rows, legs, legs]),
                    col=np.concatenate([ap, ap, l1[legs], l2[legs]]),
                    head=np.concatenate([ap, ap, l2[legs], l1[legs]]),
-                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]))
+                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]),
+                   apex_col=None if barred else 1)
 
     @classmethod
     def on_tree_edges(cls, t: TripleSet, tree: Graph, d: int):
@@ -215,7 +221,8 @@ class _ConstraintOperator:
                    row=np.concatenate([rows, rows]),
                    col=tree._edge_ids(apex, legs),
                    head=np.where(neg, other, apex),
-                   tail=np.where(neg, apex, other))
+                   tail=np.where(neg, apex, other),
+                   apex_col=0)
 
     def slots(self, pts: np.ndarray) -> np.ndarray:
         """(K, d) signed slot vectors at the (n, d) points."""
@@ -225,9 +232,22 @@ class _ConstraintOperator:
     def dense(self, pts: np.ndarray) -> np.ndarray:
         """The (s, ncols*d) matrix at the (n, d) points."""
         width = self.ncols * self.d
-        cells = ((self._row * self.ncols + self._col) * self.d)[:, None] + np.arange(self.d)
-        return np.bincount(cells.ravel(), self.slots(pts).ravel(),
-                           minlength=self.s * width).reshape(self.s, width)
+        cells = (self._row * self.ncols + self._col) * self.d
+        return _scatter_add(cells, self.slots(pts), self.s * width).reshape(self.s, width)
+
+    def _may_have_tall_block(self) -> bool:
+        """False when counts prove every apex has at most d times as many rows
+        as local columns. The h rows of an apex have distinct leg pairs j <= k
+        and its distance rows distinct legs, so they use at least
+        max(distance rows, ceil((sqrt(8h + 1) - 1) / 2)) legs, each with a
+        column of its own; on vertex columns the apex has one too."""
+        if self._apex_col is None:
+            return True
+        _, l1, l2 = self._t._idx
+        h = np.bincount(self._apex)
+        dist = np.bincount(self._apex[l1 == l2], minlength=h.size)
+        legs = np.maximum(dist, np.ceil((np.sqrt(8 * h + 1) - 1) / 2))
+        return bool(np.any(h > self.d * (legs + self._apex_col)))
 
     def reduced(self, pts: np.ndarray) -> np.ndarray:
         """A short matrix with the singular values of ``dense(pts)``.
@@ -239,20 +259,21 @@ class _ConstraintOperator:
         (zero rows add no singular value), and each stack takes one QR; the R
         rows are then scattered back to the global columns. Other blocks pass
         through unchanged. Every slot lands in the order ``dense`` adds it, so
-        every cell is the same sum.
+        every cell is the same sum. When counts show that no block is tall,
+        the rows stay in place and no layout is built.
         """
-        lay, d, k = _ApexBlocks(self), self.d, self._row.size
+        width = self.ncols * self.d
+        if not self._may_have_tall_block():
+            cells = (self._row * self.ncols + self._col) * self.d
+            return _scatter_add(cells, self.slots(pts), self.s * width).reshape(self.s, width)
+        lay, k = _ApexBlocks(self), self._row.size
 
         def scatter(slots, size):
             sel = lay.order[slots]
             vals = pts.take(self._idx[sel], axis=0) - pts.take(self._idx[k + sel], axis=0)
-            cells = lay.cells[slots, None] + np.arange(d)
-            return np.bincount(cells.ravel(), vals.ravel(), minlength=size)
+            return _scatter_add(lay.cells[slots], vals, size)
 
-        width = self.ncols * d
-        # bincount of no slots would give integer zeros
-        out = (scatter(lay.direct, lay.rows * width) if lay.direct.stop
-               else np.zeros(lay.rows * width)).reshape(lay.rows, width)
+        out = scatter(lay.direct, lay.rows * width).reshape(lay.rows, width)
         for slots, shape, cols, start in lay.stacks:
             v, h, w = shape
             r = np.linalg.qr(scatter(slots, v * h * w).reshape(shape), mode="r")
@@ -323,6 +344,15 @@ class _ApexBlocks:
                                 (blocks.size, int(tallest[c]), w * d),
                                 cols.reshape(blocks.size, 1, w * d), self.rows))
             self.rows += blocks.size * w * d
+
+
+def _scatter_add(cells: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """A float vector of ``size`` with each (K, d) ``vals`` row added, in row
+    order, at flat cells ``cells[k] + coordinate``."""
+    if not cells.size:  # np.bincount would ignore the weights and give integers
+        return np.zeros(size)
+    flat = cells[:, None] + np.arange(vals.shape[1])
+    return np.bincount(flat.ravel(), vals.ravel(), minlength=size)
 
 
 def _rank_in_group(group: np.ndarray) -> np.ndarray:

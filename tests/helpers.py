@@ -8,12 +8,14 @@ import numpy as np
 from weakrig import (
     Configuration,
     Framework,
+    GainMatrix,
     Graph,
     InputError,
     Law,
     TripleSet,
     distance_triple,
     full_triple_set,
+    jacobian_at_target,
     numerical_rank,
     residuals,
 )
@@ -197,6 +199,30 @@ def reference_velocity_and_residuals(spec, pts):
     if gain is None:
         return -grad, delta
     return -np.einsum("nij,nj->ni", gain, grad), delta
+
+
+def reference_gain_search(tgt, trials, seed):
+    """The per-trial search that the blocked one replaced: a GainMatrix, its
+    Jacobian and one ``eigvals`` per trial, judged by the stability rule
+    written out here."""
+    d = tgt.d
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        entries = rng.uniform(-1.5, 1.5, size=(tgt.n, d))
+        gain = GainMatrix(tuple(np.diag(row) for row in entries))
+        ev = np.linalg.eigvals(jacobian_at_target(tgt, gain))
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(ev))))
+        near_zero = np.abs(ev) <= tol
+        if int(near_zero.sum()) == d * (d + 1) // 2 and np.all(ev.real[~near_zero] > tol):
+            return gain
+    return None
+
+
+def same_gain_bits(a, b):
+    """Both searches found nothing, or found gains with identical bytes."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.stacked().tobytes() == b.stacked().tobytes()
 
 
 def reference_local_cost(i, p, tgt):

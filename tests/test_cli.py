@@ -220,6 +220,18 @@ class TestJacobian:
     def test_no_gain_choice_exits_two(self, target_file):
         assert main(["jacobian", target_file]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--search", "10", "--seed", "-5"], "input error: seed must be >= 0"),
+        (["--search", "0"], "input error: trials must be >= 1"),
+    ])
+    def test_bad_search_exits_two(self, target_file, tmp_path, capsys, argv, message):
+        out, gain_out = tmp_path / "e.csv", tmp_path / "g.json"
+        code = main(["jacobian", target_file, *argv, "--out", str(out),
+                     "--gain-out", str(gain_out)])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists() and not gain_out.exists()
+
 
 class TestSimulate:
     def test_reproduction_run_converges(self, tmp_path, capsys):
@@ -320,13 +332,26 @@ class TestSimulate:
         assert "target" in capsys.readouterr().err
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("module", ["weakrig", "weakrig.cli"])
     def test_failing_input_exits_nonzero(self, collinear_star_file, module):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         run = subprocess.run([sys.executable, "-m", module, "check", collinear_star_file,
-                              "--mode", "graphical"], capture_output=True, text=True, env=env)
+                              "--mode", "graphical"], capture_output=True, text=True,
+                             env=_src_env())
         assert run.returncode == 1
         assert run.stdout == "fails at vertex 1: all incident edges collinear\n"
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        """Importing the package and its CLI loads none of the test extras."""
+        code = ("import sys, weakrig, weakrig.cli; print(' '.join(sorted(m for m in "
+                "('scipy', 'sympy', 'networkx', 'hypothesis', 'pytest') if m in sys.modules)))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=_src_env())
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "\n"

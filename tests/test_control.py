@@ -7,9 +7,11 @@ from helpers import (
     random_framework,
     random_triple_subset,
     reference_barred_weak_rigidity_matrix,
+    reference_gain_search,
     reference_local_cost,
     reference_velocity_and_residuals,
     rel_err,
+    same_gain_bits,
 )
 from weakrig import (
     Configuration,
@@ -39,6 +41,7 @@ from weakrig import (
     total_cost,
     weak_rigidity_matrix,
 )
+from weakrig import control
 
 K3 = Graph(3, ((1, 2), (1, 3), (2, 3)))
 
@@ -414,6 +417,26 @@ class TestClassifyStability:
         rep = classify_stability(np.zeros((12, 12)), 2)
         assert rep.verdict is Verdict.MARGINAL
 
+    def test_shared_rule_gives_the_verdict(self, hexagon_target, designed_gain):
+        """``_stable``, which the gain search applies to a whole stack, says
+        stable exactly where ``classify_stability`` does, one matrix at a
+        time or stacked."""
+        rotation = np.zeros((12, 12))
+        rotation[3:5, 3:5] = [[0.0, -1.0], [1.0, 0.0]]  # eigenvalues +-i: marginal
+        rotation[5:, 5:] = np.diag(np.arange(1.0, 8.0))
+        extra_zero = np.diag(np.r_[np.zeros(4), np.arange(1.0, 9.0)])  # four zeros: marginal
+        cases = {
+            Verdict.STABLE: jacobian_at_target(hexagon_target, designed_gain),
+            Verdict.UNSTABLE: jacobian_at_target(hexagon_target, GainMatrix.identity(6, 2)),
+            Verdict.MARGINAL: rotation,
+        }
+        mats = [*cases.values(), extra_zero, np.zeros((12, 12))]
+        verdicts = [classify_stability(m, 2).verdict for m in mats]
+        assert verdicts[:3] == list(cases) and verdicts[3:] == [Verdict.MARGINAL] * 2
+        stable = [v is Verdict.STABLE for v in verdicts]
+        assert [bool(control._stable(np.linalg.eigvals(m), 2)[0]) for m in mats] == stable
+        assert control._stable(np.linalg.eigvals(np.stack(mats)), 2)[0].tolist() == stable
+
     def test_eigenvalues_sorted(self, hexagon_target, designed_gain):
         rep = classify_stability(jacobian_at_target(hexagon_target, designed_gain), 2)
         reals = rep.eigenvalues.real
@@ -446,3 +469,33 @@ class TestGainSearch:
     def test_trials_validated(self, hexagon_target):
         with pytest.raises(InputError):
             gain_search(hexagon_target, trials=0, seed=1)
+
+    def test_negative_seed_validated(self, hexagon_target):
+        with pytest.raises(InputError, match="seed"):
+            gain_search(hexagon_target, trials=10, seed=-5)
+
+    @pytest.mark.parametrize("entries, sizes", [
+        (None, [4, 8, 16, 32, 64, 64, 62]),
+        (144 * 10, [4, 8] + [10] * 23 + [8]),  # 12x12 Jacobians: at most 10 a block
+    ])
+    def test_blocks_double_up_to_the_cap(self, hexagon_target, monkeypatch, entries, sizes):
+        """Seed 0 finds nothing in 250 trials, so every block is evaluated."""
+        if entries is not None:
+            monkeypatch.setattr(control, "_BLOCK_ENTRIES", entries)
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def record(a):
+            seen.append(a.shape[0])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", record)
+        assert gain_search(hexagon_target, trials=250, seed=0) is None
+        assert seen == sizes
+
+    @pytest.mark.parametrize("i", range(16))
+    def test_matches_per_trial_search_on_pool_seeds(self, hexagon_target, i):
+        """Seeds i * 100000 with 250 trials, as the benchmark's searches run:
+        the same first-found gain, or none, bit for bit."""
+        got = gain_search(hexagon_target, trials=250, seed=i * 100_000)
+        assert same_gain_bits(got, reference_gain_search(hexagon_target, 250, i * 100_000))

@@ -41,6 +41,7 @@ from weakrig import (
     weak_rigidity_function,
     weak_rigidity_matrix,
 )
+from weakrig import framework
 from weakrig.framework import _ConstraintOperator
 
 RIGHT_TRIANGLE = Framework(
@@ -183,6 +184,10 @@ class TestRigidityMatrix:
     def test_hexagon_rank(self, hexagon_framework):
         assert np.linalg.matrix_rank(rigidity_matrix(hexagon_framework)) == 5
 
+    def test_edgeless_graph_gives_float_rows(self):
+        r = rigidity_matrix(Framework(Graph(3, ()), Configuration(np.eye(3)[:, :2])))
+        assert r.shape == (0, 6) and r.dtype == np.float64
+
     def test_triangle_rank(self):
         assert np.linalg.matrix_rank(rigidity_matrix(RIGHT_TRIANGLE)) == 3
 
@@ -208,6 +213,10 @@ class TestWeakRigidityMatrix:
             assert np.array_equal(weak_rigidity_matrix(fw, ts), rigidity_matrix(fw))
             assert np.array_equal(weak_rigidity_matrix(fw, ts),
                                   reference_weak_rigidity_matrix(fw, ts))
+
+    def test_no_triples_gives_float_rows(self):
+        rw = weak_rigidity_matrix(RIGHT_TRIANGLE, TripleSet(()))
+        assert rw.shape == (0, 6) and rw.dtype == np.float64
 
     def test_hexagon_full_rank(self, hexagon_framework, hexagon_triples):
         rw = weak_rigidity_matrix(hexagon_framework, hexagon_triples)
@@ -399,6 +408,29 @@ class TestRankTests:
                      == required_rank(fw.n, fw.d),
                      points_span_full_dimension(fw.config)) for fw in cases]
         monkeypatch.setattr(_ConstraintOperator, "dense", refuse)
+        assert decisions() == expected
+
+    def test_layout_skipped_when_no_block_can_be_tall(self, monkeypatch, hexagon_framework):
+        """Distance-only operators never have a block taller than wide, and
+        neither do the hexagon's full-set operators: no rank test among them
+        builds the apex-block layout, and every decision stays the same."""
+        rng = np.random.default_rng(18)
+        cases = [random_framework(rng, int(rng.integers(d + 1, 9)), d)
+                 for d in (1, 2, 3) for _ in range(3)]
+        full = full_triple_set(hexagon_framework.graph)
+        tree = spanning_tree(hexagon_framework.graph)
+
+        def decisions():
+            return ([is_infinitesimally_rigid(fw) for fw in cases + [hexagon_framework]]
+                    + [is_infinitesimally_weakly_rigid(hexagon_framework, full),
+                       check_iwr_via_spanning_tree(hexagon_framework, tree, full)])
+
+        def refuse(op):
+            raise AssertionError("apex-block layout built")
+
+        expected = decisions()
+        assert expected[-3:] == [False, True, True]
+        monkeypatch.setattr(framework, "_ApexBlocks", refuse)
         assert decisions() == expected
 
     def test_weak_rank_memory_is_bounded(self):

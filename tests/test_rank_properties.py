@@ -26,7 +26,11 @@ from weakrig import (  # noqa: E402
     restrict_triples_to_tree,
     spanning_tree,
 )
-from weakrig.framework import _ConstraintOperator, _rigidity_operator  # noqa: E402
+from weakrig.framework import (  # noqa: E402
+    _ApexBlocks,
+    _ConstraintOperator,
+    _rigidity_operator,
+)
 
 SV_RTOL = 1e-13
 
@@ -94,6 +98,19 @@ def test_blocked_rank_matches_dense_rank(fw, data):
     rng = _rng(data.draw)
     for op in _operators(fw, rng).values():
         _assert_same_spectrum(op, fw.points)
+
+
+@given(frameworks(), st.data())
+def test_count_bound_never_hides_a_tall_block(fw, data):
+    """Where counts rule out a block taller than wide, the layout finds none,
+    so ``reduced`` is ``dense`` bit for bit. Distance-only operators are
+    always ruled out: each row has a leg of its own."""
+    ops = _operators(fw, _rng(data.draw))
+    assert not ops["distance"]._may_have_tall_block()
+    for op in ops.values():
+        if not op._may_have_tall_block():
+            assert _ApexBlocks(op).stacks == []
+            assert op.reduced(fw.points).tobytes() == op.dense(fw.points).tobytes()
 
 
 @given(frameworks(), st.data())
