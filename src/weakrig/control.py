@@ -130,8 +130,12 @@ class ControllerSpec:
         if self.law is Law.NONGRADIENT:
             if self.gain is None:
                 raise InputError("the non-gradient law requires a gain matrix")
-            if self.gain.n != self.target.n or self.gain.d != self.target.d:
-                raise InputError("gain blocks do not match the target size")
+            _require_gain_fits(self.gain, self.target)
+
+
+def _require_gain_fits(gain: GainMatrix, tgt: FormationTarget) -> None:
+    if gain.n != tgt.n or gain.d != tgt.d:
+        raise InputError("gain blocks do not match the target size")
 
 
 def build_formation_triples(gf: Graph, gs: Graph) -> TripleSet:
@@ -185,17 +189,19 @@ def barred_weak_rigidity_matrix(p: Configuration, tgt: FormationTarget) -> np.nd
     return op.dense(p.points)
 
 
-def _apply_gain(gain: GainMatrix, m: np.ndarray) -> np.ndarray:
-    """K m for the block-diagonal gain K, applied block by block."""
-    k = gain.stacked()
-    return np.einsum("nij,nj...->ni...", k, m.reshape(gain.n, gain.d, -1)).reshape(m.shape)
+def _apply_gain(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """K m for each block-diagonal gain K of the (..., n, d, d) block stack
+    ``k``, applied block by block; the result has shape (...,) + m.shape."""
+    n, d = k.shape[-3:-1]
+    km = np.einsum("...nij,njc->...nic", k, m.reshape(n, d, -1))
+    return km.reshape(k.shape[:-3] + m.shape)
 
 
 def nongradient_control(p: Configuration, tgt: FormationTarget,
                         gain: GainMatrix) -> np.ndarray:
     """u = -K Rbar(p)^T delta(p); agent i applies K_i to its local-cost gradient."""
     rb = barred_weak_rigidity_matrix(p, tgt)
-    return -_apply_gain(gain, rb.T @ residuals(p, tgt))
+    return -_apply_gain(gain.stacked(), rb.T @ residuals(p, tgt))
 
 
 class ControlEvaluator:
@@ -259,7 +265,8 @@ class StabilityReport:
 
 def jacobian_at_target(tgt: FormationTarget, gain: GainMatrix) -> np.ndarray:
     """K Rbar^T R_w evaluated at the target witness configuration."""
-    return _apply_gain(gain, tgt._rbar_t_rw)
+    _require_gain_fits(gain, tgt)
+    return _apply_gain(gain.stacked(), tgt._rbar_t_rw)
 
 
 def sort_eigenvalues(ev: np.ndarray) -> np.ndarray:
@@ -295,42 +302,28 @@ def classify_stability(j: np.ndarray, d: int) -> StabilityReport:
     return StabilityReport(verdict, ev)
 
 
-def _diagonal_gain_jacobians(tgt: FormationTarget, k: np.ndarray) -> np.ndarray:
-    """``jacobian_at_target`` for each diagonal gain of the (B, n, d) stack ``k``,
-    bit for bit. The einsum of ``_apply_gain`` sums every entry from +0.0, so
-    a -0.0 product comes out +0.0; adding +0.0 does the same here, since the
-    sign of a zero changes what ``eigvals`` returns."""
-    n, d = tgt.n, tgt.d
-    j = k[:, :, :, None] * tgt._rbar_t_rw.reshape(n, d, n * d)
-    j += 0.0
-    return j.reshape(-1, n * d, n * d)
-
-
-# blocks of consecutive trials double from the first size to the last, so an
-# early find wastes few trials; a block's Jacobians hold at most
-# _BLOCK_ENTRIES floats, which bounds memory on large targets
-_FIRST_BLOCK, _LAST_BLOCK, _BLOCK_ENTRIES = 4, 64, 1 << 20
+# a block's Jacobians hold at most _BLOCK_ENTRIES floats, which bounds memory
+# on large targets
+_MAX_BLOCK, _BLOCK_ENTRIES = 64, 1 << 20
 
 
 def gain_search(tgt: FormationTarget, trials: int, seed: int) -> GainMatrix | None:
     """Sample diagonal gain blocks with entries uniform on [-1.5, 1.5] and
     return the first stabilizing gain, or None. Trial seeds are derived as
     seed + trial index, so results are reproducible and trials independent.
-    Blocks of consecutive trials share one Jacobian broadcast and one stacked
-    ``eigvals`` call."""
+    Blocks of consecutive trials share one stacked gain product and one
+    stacked ``eigvals`` call."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     if seed < 0:
         raise InputError("seed must be >= 0")
     n, d = tgt.n, tgt.d
-    cap = max(1, min(_LAST_BLOCK, _BLOCK_ENTRIES // (n * d) ** 2))
-    start, size = 0, min(_FIRST_BLOCK, cap)
-    while start < trials:
-        stop = min(trials, start + size)
+    size = max(1, min(_MAX_BLOCK, _BLOCK_ENTRIES // (n * d) ** 2))
+    for start in range(0, trials, size):
         k = np.stack([np.random.default_rng(seed + trial).uniform(-1.5, 1.5, size=(n, d))
-                      for trial in range(start, stop)])
-        stable, _ = _stable(np.linalg.eigvals(_diagonal_gain_jacobians(tgt, k)), d)
+                      for trial in range(start, min(trials, start + size))])
+        jac = _apply_gain(k[..., None] * np.eye(d), tgt._rbar_t_rw)
+        stable, _ = _stable(np.linalg.eigvals(jac), d)
         if stable.any():
             return GainMatrix(tuple(np.diag(row) for row in k[stable.argmax()]))
-        start, size = stop, min(2 * size, cap)
     return None

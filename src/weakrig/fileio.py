@@ -21,10 +21,6 @@ from .simulate import SimulationConfig, SimulationTrace
 _AXES = "xyz"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
-
-
 def _axis_label(a: int) -> str:
     return _AXES[a] if a < len(_AXES) else f"c{a + 1}"
 
@@ -161,10 +157,10 @@ def simulation_config_from_dict(obj: dict) -> SimulationConfig:
 
 def write_eigenvalue_csv(path, eigenvalues) -> None:
     """Columns re, im; one row per eigenvalue in the given order."""
+    ev = np.asarray(eigenvalues, dtype=complex)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("re,im\n")
-        for ev in np.asarray(eigenvalues, dtype=complex):
-            fh.write(f"{_fmt(ev.real)},{_fmt(ev.imag)}\n")
+        np.savetxt(fh, np.column_stack([ev.real, ev.imag]), fmt="%.9g", delimiter=",",
+                   header="re,im", comments="")
 
 
 def write_trace_csv(path, trace: SimulationTrace) -> None:
@@ -176,12 +172,9 @@ def write_trace_csv(path, trace: SimulationTrace) -> None:
     header += ["V", "delta_norm", "minDist"]
     header += [f"cent{_axis_label(a).upper()}" for a in range(d)]
     header += ["rankP"]
+    table = np.column_stack([trace.times, trace.positions.reshape(nsamp, n * d), trace.cost,
+                             trace.residual_norm, trace.min_distance, trace.centroid,
+                             trace.rank_p])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in range(nsamp):
-            vals = [trace.times[row]]
-            vals += list(trace.positions[row].reshape(-1))
-            vals += [trace.cost[row], trace.residual_norm[row], trace.min_distance[row]]
-            vals += list(trace.centroid[row])
-            out = ",".join(_fmt(v) for v in vals)
-            fh.write(f"{out},{int(trace.rank_p[row])}\n")
+        np.savetxt(fh, table, fmt=["%.9g"] * (len(header) - 1) + ["%d"], delimiter=",",
+                   header=",".join(header), comments="")

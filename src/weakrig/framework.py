@@ -180,16 +180,11 @@ class _ConstraintOperator:
     Every row is zero outside the columns its apex's slots touch, so rank
     tests reduce each apex's rows to an R factor (``reduced``) and never form
     the dense matrix.
-
-    ``apex_col`` is 1 when every row has a slot on its apex's column (vertex
-    columns) and 0 when none has (tree-edge columns). It is None for Rbar,
-    whose angle rows have no leg slots, so no count bound on legs holds.
     """
 
-    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail, apex_col):
+    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail):
         self.s, self.d, self.ncols = t.s, d, ncols
         self._row, self._col = row, col
-        self._t, self._apex_col = t, apex_col
         self._apex = t._idx[0]  # of each row
         # slot vectors are pts[_idx[:K]] - pts[_idx[K:]]
         self._idx = np.concatenate([head, tail])
@@ -204,8 +199,7 @@ class _ConstraintOperator:
                    row=np.concatenate([rows, rows, legs, legs]),
                    col=np.concatenate([ap, ap, l1[legs], l2[legs]]),
                    head=np.concatenate([ap, ap, l2[legs], l1[legs]]),
-                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]),
-                   apex_col=None if barred else 1)
+                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]))
 
     @classmethod
     def on_tree_edges(cls, t: TripleSet, tree: Graph, d: int):
@@ -221,8 +215,7 @@ class _ConstraintOperator:
                    row=np.concatenate([rows, rows]),
                    col=tree._edge_ids(apex, legs),
                    head=np.where(neg, other, apex),
-                   tail=np.where(neg, apex, other),
-                   apex_col=0)
+                   tail=np.where(neg, apex, other))
 
     def slots(self, pts: np.ndarray) -> np.ndarray:
         """(K, d) signed slot vectors at the (n, d) points."""
@@ -235,20 +228,6 @@ class _ConstraintOperator:
         cells = (self._row * self.ncols + self._col) * self.d
         return _scatter_add(cells, self.slots(pts), self.s * width).reshape(self.s, width)
 
-    def _may_have_tall_block(self) -> bool:
-        """False when counts prove every apex has at most d times as many rows
-        as local columns. The h rows of an apex have distinct leg pairs j <= k
-        and its distance rows distinct legs, so they use at least
-        max(distance rows, ceil((sqrt(8h + 1) - 1) / 2)) legs, each with a
-        column of its own; on vertex columns the apex has one too."""
-        if self._apex_col is None:
-            return True
-        _, l1, l2 = self._t._idx
-        h = np.bincount(self._apex)
-        dist = np.bincount(self._apex[l1 == l2], minlength=h.size)
-        legs = np.maximum(dist, np.ceil((np.sqrt(8 * h + 1) - 1) / 2))
-        return bool(np.any(h > self.d * (legs + self._apex_col)))
-
     def reduced(self, pts: np.ndarray) -> np.ndarray:
         """A short matrix with the singular values of ``dense(pts)``.
 
@@ -259,13 +238,10 @@ class _ConstraintOperator:
         (zero rows add no singular value), and each stack takes one QR; the R
         rows are then scattered back to the global columns. Other blocks pass
         through unchanged. Every slot lands in the order ``dense`` adds it, so
-        every cell is the same sum. When counts show that no block is tall,
-        the rows stay in place and no layout is built.
+        every cell is the same sum; with no tall block, the result is
+        ``dense(pts)`` bit for bit.
         """
         width = self.ncols * self.d
-        if not self._may_have_tall_block():
-            cells = (self._row * self.ncols + self._col) * self.d
-            return _scatter_add(cells, self.slots(pts), self.s * width).reshape(self.s, width)
         lay, k = _ApexBlocks(self), self._row.size
 
         def scatter(slots, size):

@@ -88,8 +88,10 @@ def min_iwr_spanning_tree(f: Framework) -> Graph:
         for u, v in f.graph.edges:
             for i, j in ((u, v), (v, u)):
                 if i in in_tree and j not in in_tree:
-                    eij = p[i - 1] - p[j - 1]
-                    if any(not are_collinear(eij, p[i - 1] - p[k - 1])
+                    # legs in label order, as the graphical test passes them:
+                    # are_collinear is not symmetric at its threshold
+                    if any(not are_collinear(p[i - 1] - p[min(j, k) - 1],
+                                             p[i - 1] - p[max(j, k) - 1])
                            for k in tree_adj[i]):
                         extension = (i, j)
                         break

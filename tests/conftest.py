@@ -62,6 +62,14 @@ STAR_POINTS = np.array([
 ])
 STAR_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))
 
+# Two-leaf star with edges (1, 2) and (1, 3) whose angle sits at the
+# collinearity threshold, where are_collinear(e12, e13) says skew and
+# are_collinear(e13, e12) says collinear.
+BORDERLINE_STAR_POINTS = np.array([
+    [0.0, 0.0], [-0.2873877078086663, 1.5744082788445868],
+    [-23.966538584310683, 131.29690492505637],
+])
+
 
 @pytest.fixture
 def hexagon_graph():

@@ -527,3 +527,39 @@ def reference_recover_shape(g, graph, d):
             known.add(vtx)
             stack.append(vtx)
     return Configuration(pts)
+
+
+def _reference_fmt(x):
+    return f"{float(x):.9g}"
+
+
+def reference_write_eigenvalue_csv(path, eigenvalues):
+    """The per-row eigenvalue writer that ``np.savetxt`` replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("re,im\n")
+        for ev in np.asarray(eigenvalues, dtype=complex):
+            fh.write(f"{_reference_fmt(ev.real)},{_reference_fmt(ev.imag)}\n")
+
+
+def reference_write_trace_csv(path, trace):
+    """The per-row trace writer that ``np.savetxt`` replaced."""
+    nsamp, n, d = trace.positions.shape
+
+    def axis(a):
+        return "xyz"[a] if a < 3 else f"c{a + 1}"
+
+    header = ["t"]
+    for i in range(1, n + 1):
+        header += [f"p{i}{axis(a)}" for a in range(d)]
+    header += ["V", "delta_norm", "minDist"]
+    header += [f"cent{axis(a).upper()}" for a in range(d)]
+    header += ["rankP"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in range(nsamp):
+            vals = [trace.times[row]]
+            vals += list(trace.positions[row].reshape(-1))
+            vals += [trace.cost[row], trace.residual_norm[row], trace.min_distance[row]]
+            vals += list(trace.centroid[row])
+            out = ",".join(_reference_fmt(v) for v in vals)
+            fh.write(f"{out},{int(trace.rank_p[row])}\n")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import BORDERLINE_STAR_POINTS
 from test_fileio import gain_dict, hexagon_framework_dict, hexagon_target_dict
 from weakrig.cli import main
 from weakrig.framework import _ConstraintOperator
@@ -150,6 +151,17 @@ class TestTstar:
                      "--mode", "weak"]) == 0
         assert "IWR: yes (rank 9/9)" in capsys.readouterr().out
 
+    def test_borderline_star_holds_in_both_commands(self, tmp_path, capsys):
+        obj = {"n": 3, "edges": [[1, 2], [1, 3]], "d": 2,
+               "points": BORDERLINE_STAR_POINTS.tolist()}
+        path, out = tmp_path / "star.json", tmp_path / "tdagger.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "--mode", "graphical"]) == 0
+        assert main(["tstar", str(path), str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "spanning tree edges: (1,2) (1,3)", f"wrote 3 triples to {out}"]
+        assert json.loads(out.read_text())["triples"] == [[2, 1, 1], [3, 1, 1], [1, 2, 3]]
+
     def test_condition_failure_names_vertex(self, collinear_star_file, capsys):
         out_code = main(["tstar", collinear_star_file, "/tmp/unused_tstar.json"])
         assert out_code == 1
@@ -219,6 +231,18 @@ class TestJacobian:
 
     def test_no_gain_choice_exits_two(self, target_file):
         assert main(["jacobian", target_file]) == 2
+
+    @pytest.mark.parametrize("blocks", [
+        [[[0.3, 0.0], [0.0, -0.04]]] * 5,  # one agent short
+        [[[1.0]]] * 6,                     # 1 x 1 blocks on a d = 2 target
+    ])
+    def test_gain_of_the_wrong_size_exits_two(self, target_file, tmp_path, capsys, blocks):
+        gain, out = tmp_path / "gain.json", tmp_path / "e.csv"
+        gain.write_text(json.dumps({"blocks": blocks}))
+        assert main(["jacobian", target_file, "--gain", str(gain), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: gain blocks do not match the target size\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--search", "10", "--seed", "-5"], "input error: seed must be >= 0"),

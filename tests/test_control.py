@@ -286,6 +286,18 @@ class TestControlEvaluator:
 
 
 class TestJacobianEigenvalues:
+    @pytest.mark.parametrize("blocks", [
+        [np.eye(2)] * 5,    # one agent short
+        [np.eye(1)] * 6,    # 1 x 1 blocks on a d = 2 target
+    ])
+    def test_gain_must_fit_the_target(self, hexagon_target, blocks):
+        """The same check ControllerSpec makes, with the same message."""
+        gain = GainMatrix(tuple(blocks))
+        with pytest.raises(InputError, match="gain blocks do not match the target size"):
+            jacobian_at_target(hexagon_target, gain)
+        with pytest.raises(InputError, match="gain blocks do not match the target size"):
+            ControllerSpec(Law.NONGRADIENT, hexagon_target, gain)
+
     def test_cached_factor_is_read_only_and_exact(self):
         rng = np.random.default_rng(69)
         for trial in range(6):
@@ -475,10 +487,11 @@ class TestGainSearch:
             gain_search(hexagon_target, trials=10, seed=-5)
 
     @pytest.mark.parametrize("entries, sizes", [
-        (None, [4, 8, 16, 32, 64, 64, 62]),
-        (144 * 10, [4, 8] + [10] * 23 + [8]),  # 12x12 Jacobians: at most 10 a block
+        (None, [64, 64, 64, 58]),
+        (144 * 10, [10] * 25),  # 12x12 Jacobians: at most 10 a block
     ])
-    def test_blocks_double_up_to_the_cap(self, hexagon_target, monkeypatch, entries, sizes):
+    def test_blocks_hold_a_fixed_number_of_trials(self, hexagon_target, monkeypatch,
+                                                 entries, sizes):
         """Seed 0 finds nothing in 250 trials, so every block is evaluated."""
         if entries is not None:
             monkeypatch.setattr(control, "_BLOCK_ENTRIES", entries)

@@ -1,15 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import DESIGNED_GAIN_DIAGS, HEXAGON_EDGES, HEXAGON_POINTS
+from helpers import reference_write_eigenvalue_csv, reference_write_trace_csv
 from weakrig import (
+    Configuration,
     ControllerSpec,
+    FormationTarget,
     Graph,
     InputError,
     Law,
     SimulationConfig,
     full_triple_set,
     integrate,
+    jacobian_at_target,
 )
 from weakrig import fileio
 
@@ -171,3 +177,43 @@ class TestCsvWriters:
         path = tmp_path / "eigs.csv"
         fileio.write_eigenvalue_csv(path, np.array([np.pi]))
         assert path.read_text().strip().splitlines()[1] == "3.14159265,0"
+
+    @pytest.mark.parametrize("run", ["fixture", "d3", "d4"])
+    def test_trace_csv_matches_per_row_writer(self, tmp_path, run):
+        """Byte for byte: the 364-row fixture run, and short gradient runs in
+        d = 3 and d = 4 (axis labels x, y, z, c4)."""
+        if run == "fixture":
+            path = Path(__file__).resolve().parents[1] / "fixtures" / "hexagon_run.json"
+            cfg = fileio.simulation_config_from_dict(fileio.load_json(path))
+        else:
+            d = int(run[1])
+            rng = np.random.default_rng(d)
+            graph = Graph(d + 1, tuple((i, j) for i in range(1, d + 2)
+                                       for j in range(i + 1, d + 2)))
+            witness = Configuration(rng.uniform(-1.0, 1.0, (d + 1, d)))
+            tgt = FormationTarget(graph, full_triple_set(graph), witness)
+            start = Configuration(witness.points + rng.uniform(-0.05, 0.05, (d + 1, d)))
+            cfg = SimulationConfig(start, ControllerSpec(Law.GRADIENT, tgt), t_max=0.2,
+                                   record_every=1, stop_cost=0.0)
+        trace = integrate(cfg)
+        fileio.write_trace_csv(tmp_path / "new.csv", trace)
+        reference_write_trace_csv(tmp_path / "old.csv", trace)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        if run == "fixture":
+            assert len(trace) == 364
+        if run == "d4":
+            assert b",p1c4," in new and b",centC4," in new
+
+    def test_eigenvalue_csv_matches_per_row_writer(self, tmp_path, hexagon_target,
+                                                   designed_gain):
+        """Byte for byte, with -0.0 imaginary parts written as -0."""
+        ev = np.array([1.5 + 0.25j, complex(-2.0, -0.0), complex(0.0, -0.0),
+                       complex(-0.0, 0.0), np.pi, 1e-300 - 1e300j])
+        spectrum = np.linalg.eigvals(jacobian_at_target(hexagon_target, designed_gain))
+        for i, evs in enumerate((ev, spectrum, spectrum.conj(), ev[:0])):
+            fileio.write_eigenvalue_csv(tmp_path / f"new{i}.csv", evs)
+            reference_write_eigenvalue_csv(tmp_path / f"old{i}.csv", evs)
+            assert (tmp_path / f"new{i}.csv").read_bytes() \
+                == (tmp_path / f"old{i}.csv").read_bytes()
+        assert (tmp_path / "new0.csv").read_text().splitlines()[2:4] == ["-2,-0", "0,-0"]

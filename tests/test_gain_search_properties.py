@@ -27,7 +27,7 @@ from weakrig import (  # noqa: E402
     gain_search,
     jacobian_at_target,
 )
-from weakrig.control import _diagonal_gain_jacobians, _stable  # noqa: E402
+from weakrig.control import _apply_gain, _stable  # noqa: E402
 
 TRIALS = (1, 3, 5, 64, 65, 200)
 # trial seeds scanned for a case's seed; a few stable ones fall in this
@@ -41,6 +41,11 @@ def _entries(tgt, trial_seed):
 
 def _diagonal(entries):
     return GainMatrix(tuple(np.diag(row) for row in entries))
+
+
+def _diagonal_jacobians(tgt, k):
+    """The search's Jacobians for the (B, n, d) stack of diagonal entries."""
+    return _apply_gain(k[..., None] * np.eye(tgt.d), tgt._rbar_t_rw)
 
 
 @st.composite
@@ -66,7 +71,7 @@ def targets(draw):
 def _stable_trial_seeds(tgt, window):
     """Which trial seeds 0..window-1 give a stabilizing gain."""
     k = np.stack([_entries(tgt, s) for s in range(window)])
-    return _stable(np.linalg.eigvals(_diagonal_gain_jacobians(tgt, k)), tgt.d)[0]
+    return _stable(np.linalg.eigvals(_diagonal_jacobians(tgt, k)), tgt.d)[0]
 
 
 def _seed_for(stable, trials, case):
@@ -113,7 +118,7 @@ def test_every_case_on_the_hexagon(hexagon_target, trials):
 @given(targets(), st.integers(0, 2**20), st.integers(1, 70))
 def test_stacked_jacobians_and_eigenvalues_are_bitwise(tgt, seed, size):
     k = np.stack([_entries(tgt, seed + b) for b in range(size)])
-    jac = _diagonal_gain_jacobians(tgt, k)
+    jac = _diagonal_jacobians(tgt, k)
     ev = np.linalg.eigvals(jac).astype(complex)
     for b in range(size):
         single = jacobian_at_target(tgt, _diagonal(k[b]))

@@ -101,15 +101,14 @@ def test_blocked_rank_matches_dense_rank(fw, data):
 
 
 @given(frameworks(), st.data())
-def test_count_bound_never_hides_a_tall_block(fw, data):
-    """Where counts rule out a block taller than wide, the layout finds none,
-    so ``reduced`` is ``dense`` bit for bit. Distance-only operators are
-    always ruled out: each row has a leg of its own."""
+def test_reduced_is_dense_when_no_block_is_tall(fw, data):
+    """With no block taller than wide, every row passes through in row
+    order, so ``reduced`` is ``dense`` bit for bit. Distance-only operators
+    never have a tall block: each row has a leg of its own."""
     ops = _operators(fw, _rng(data.draw))
-    assert not ops["distance"]._may_have_tall_block()
+    assert _ApexBlocks(ops["distance"]).stacks == []
     for op in ops.values():
-        if not op._may_have_tall_block():
-            assert _ApexBlocks(op).stacks == []
+        if not _ApexBlocks(op).stacks:
             assert op.reduced(fw.points).tobytes() == op.dense(fw.points).tobytes()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import STAR_EDGES, STAR_POINTS
+from conftest import BORDERLINE_STAR_POINTS, STAR_EDGES, STAR_POINTS
 from helpers import random_connected_graph, random_framework
 from weakrig import (
     Configuration,
@@ -121,6 +121,15 @@ class TestMinIwrSpanningTree:
     def test_star_returns_itself(self):
         fw = Framework(Graph(6, STAR_EDGES), Configuration(STAR_POINTS))
         assert min_iwr_spanning_tree(fw) == fw.graph
+
+    def test_borderline_star_agrees_with_the_graphical_test(self):
+        """Both pass the legs at a vertex in label order, so a star the
+        graphical test accepts at the threshold also extends to a tree."""
+        fw = Framework(Graph(3, ((1, 2), (1, 3))), Configuration(BORDERLINE_STAR_POINTS))
+        assert check_planar_graphical_condition(fw)
+        tree = min_iwr_spanning_tree(fw)
+        assert tree == fw.graph
+        assert minimal_triple_set(tree, fw.config).triples == ((2, 1, 1), (3, 1, 1), (1, 2, 3))
 
     def test_collinear_star_has_no_extension(self, collinear_star):
         with pytest.raises(NoValidExtensionError):
