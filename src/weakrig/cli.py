@@ -108,18 +108,12 @@ def _cmd_jacobian(args) -> int:
     tgt = fileio.target_from_dict(fileio.load_json(args.target))
 
     if args.search is not None:
-        found = gain_search(tgt, args.search, args.seed)
-        if found is None:
+        gain = gain_search(tgt, args.search, args.seed)
+        if gain is None:
             print("none found")
             return 1
-        fileio.write_json(args.gain_out, fileio.gain_to_dict(found))
-        report = classify_stability(jacobian_at_target(tgt, found), tgt.d)
-        fileio.write_eigenvalue_csv(args.out, report.eigenvalues)
-        print(f"verdict: {report.verdict.value}")
-        print(f"wrote stabilizing gain to {args.gain_out}")
-        return 0
-
-    if args.identity:
+        fileio.write_json(args.gain_out, fileio.gain_to_dict(gain))
+    elif args.identity:
         gain = GainMatrix.identity(tgt.n, tgt.d)
     elif args.gain:
         gain = fileio.gain_from_dict(fileio.load_json(args.gain))
@@ -129,6 +123,9 @@ def _cmd_jacobian(args) -> int:
     report = classify_stability(jacobian_at_target(tgt, gain), tgt.d)
     fileio.write_eigenvalue_csv(args.out, report.eigenvalues)
     print(f"verdict: {report.verdict.value}")
+    if args.search is not None:
+        print(f"wrote stabilizing gain to {args.gain_out}")
+        return 0
     evs = ", ".join(f"{e.real:.9g}{e.imag:+.9g}i" if abs(e.imag) > 1e-9
                     else f"{e.real:.9g}" for e in report.eigenvalues)
     print(f"eigenvalues: {evs}")

@@ -47,23 +47,21 @@ class GainMatrix:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        blocks = []
-        d = None
-        for b in self.blocks:
-            arr = np.array(b, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise InputError("gain blocks must be square matrices")
-            if d is None:
-                d = arr.shape[0]
-            elif arr.shape[0] != d:
-                raise InputError("gain blocks must share one dimension")
-            if not np.all(np.isfinite(arr)):
-                raise InputError("gain blocks must be finite")
-            arr.setflags(write=False)
-            blocks.append(arr)
+        blocks = [np.array(b, dtype=float) for b in self.blocks]
         if not blocks:
             raise InputError("gain needs at least one block")
-        object.__setattr__(self, "blocks", tuple(blocks))
+        d = blocks[0].shape[0] if blocks[0].ndim else 0
+        # the blocks up to the first that is not d x d, which fails after them
+        k = next((c for c, b in enumerate(blocks) if b.shape != (d, d)), len(blocks))
+        stack = np.array(blocks[:k])
+        if not np.isfinite(stack).all():
+            raise InputError("gain blocks must be finite")
+        if k < len(blocks):
+            square = blocks[k].ndim == 2 and blocks[k].shape[0] == blocks[k].shape[1]
+            raise InputError("gain blocks must share one dimension" if square
+                             else "gain blocks must be square matrices")
+        stack.setflags(write=False)
+        object.__setattr__(self, "blocks", tuple(stack))
 
     @property
     def n(self) -> int:

@@ -149,11 +149,16 @@ def _require_valid_triples(arr: np.ndarray) -> None:
     i, j, k = arr.T
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     # a distance triple stands for its edge, so compare it in the canonical form
-    key = np.where((j == k)[:, None], np.stack([hi, lo, lo], axis=1), arr)
-    order = np.lexsort(key.T[::-1])  # stable: the first of equal keys comes first
-    ks = key[order]
+    key = (np.where(j == k, hi, i), np.where(j == k, lo, j), np.where(j == k, lo, k))
+    # one int64 per key: base ``span`` digits, or its number if labels spread too far
+    low = int(arr.min(initial=0))
+    span = int(arr.max(initial=0)) - low + 1
+    packed = (((key[0] - low) * span + key[1] - low) * span + key[2] - low
+              if span ** 3 <= np.iinfo(np.int64).max
+              else np.unique(np.stack(key, axis=1), axis=0, return_inverse=True)[1].ravel())
+    order = np.argsort(packed, kind="stable")  # the first of equal keys comes first
     dup = np.zeros(arr.shape[0], dtype=bool)
-    dup[order[1:]] = (ks[1:] == ks[:-1]).all(axis=1)
+    dup[order[1:]] = np.diff(packed[order]) == 0
     _raise_first_failing(arr, ((j > k, "triple ({},{},{}) must have legs ordered j <= k"),
                                ((i == j) | (i == k), "triple ({},{},{}) apex equals a leg"),
                                (dup, "duplicate constraint ({},{},{})")))
@@ -282,15 +287,17 @@ class _ApexBlocks:
 
     def __init__(self, op: _ConstraintOperator):
         d = op.d
-        keys, slot_key = np.unique(op._apex[op._row] * op.ncols + op._col, return_inverse=True)
+        slot_key = op._apex[op._row] * op.ncols + op._col  # then its index among keys
+        run = np.diff(slot_key, prepend=-1) != 0  # slots repeat keys in runs: one per run
+        keys, slot_key = np.unique(slot_key[run], return_inverse=True)
+        slot_key = slot_key[np.cumsum(run) - 1]
         key_apex, global_col = np.divmod(keys, op.ncols)
         first = np.flatnonzero(np.diff(key_apex, prepend=-1))  # first key of each block
         width = np.diff(np.r_[first, keys.size])
         key_block = np.repeat(np.arange(first.size), width)
         local_col = np.arange(keys.size) - first[key_block]
         slot_block = key_block[slot_key]
-        row_block = np.empty(op.s, dtype=np.int64)
-        row_block[op._row] = slot_block
+        row_block = np.searchsorted(key_apex[first], op._apex)
         height = np.bincount(row_block, minlength=first.size)
         tall = height > width * d
         # stack key 0 gathers the blocks passing through, so they sort first

@@ -154,8 +154,10 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     pts = np.zeros((graph.n, d))
     pts[child, :k] = v[:, -k:] * np.sqrt(w[-k:])
     pts[child[up < child]] *= -1.0
-    for u, c in zip(up, child):  # BFS order places every parent before its children
-        pts[c] += pts[u]
+    up_pos, t = np.argsort(order)[up], 0  # BFS: children of placed vertices come next
+    while t < child.size:
+        t, done = int(np.searchsorted(up_pos, t + 1)), t
+        pts[child[done:t]] += pts[up[done:t]]
     rebuilt = Framework(graph, Configuration(pts))
     e = edge_vector_matrix(rebuilt).T
     tol = PSD_CLAMP_RTOL * scale

@@ -8,6 +8,8 @@ set of exactly 2n-3 triples of full rank.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from .errors import (
@@ -17,7 +19,7 @@ from .errors import (
     NoValidExtensionError,
     UnsupportedDimensionError,
 )
-from .framework import Configuration, Framework, TripleSet, distance_triple
+from .framework import Configuration, Framework, TripleSet, _distance_triples
 from .graphs import Graph, is_connected
 from .linalg import are_collinear
 
@@ -26,12 +28,13 @@ def full_triple_set(g: Graph) -> TripleSet:
     """Every admissible triple: one canonical distance constraint per edge plus
     all angle constraints (i, j, k), j < k, with both legs incident to i;
     sorted lexicographically."""
-    a, b = g._ends
-    nbr = g._csr[2]
+    _, src, nbr = g._csr
     apex, first, second = g._angle_pairs
-    trips = np.concatenate([np.stack([b, a, a], axis=1),
-                            np.stack([apex, nbr[first], nbr[second]], axis=1)])
-    return TripleSet(trips[np.lexsort(trips.T[::-1])] + 1)
+    # the angle pairs are sorted; put each (i, j, j), j < i, before the angles (i, j, k)
+    dist = np.flatnonzero(nbr < src)
+    trips = np.insert(np.stack([apex, nbr[first], nbr[second]]), np.searchsorted(first, dist),
+                      np.stack([src[dist], nbr[dist], nbr[dist]]), axis=1)
+    return TripleSet(trips.T + 1)
 
 
 def _half_edge_vectors(g: Graph, p: np.ndarray) -> np.ndarray:
@@ -67,46 +70,47 @@ def min_iwr_spanning_tree(f: Framework) -> Graph:
     """Grow a spanning tree whose subframework is minimally infinitesimally
     weakly rigid.
 
-    Seeded with the lexicographically smallest edge; each added edge (i, j),
-    i inside the tree, must be non-collinear with some tree edge at i.
-    Candidates are scanned in lexicographic order, so the result is
-    deterministic.
+    Seeded with the lexicographically smallest edge, each step adds the smallest
+    edge (i, j), i in the tree, non-collinear with some tree edge at i. The angle
+    pairs, as the graphical test reads them, of the tree edges added since the
+    last test are tested in one stacked call once the smallest candidate needs it.
     """
     if f.d != 2:
         raise UnsupportedDimensionError(
             f"tree construction is planar-only (d = 2); got d = {f.d}"
         )
-    if f.graph.m == 0:
+    g = f.graph
+    if g.m == 0:
         raise NoValidExtensionError("graph has no edges to seed the tree")
-    p = f.points
-    a, b = f.graph.edges[0]
-    in_tree = {a, b}
-    tree_edges = [(a, b)]
-    tree_adj = {a: [b], b: [a]}
-    while len(in_tree) < f.n:
-        extension = None
-        for u, v in f.graph.edges:
-            for i, j in ((u, v), (v, u)):
-                if i in in_tree and j not in in_tree:
-                    # legs in label order, as the graphical test passes them:
-                    # are_collinear is not symmetric at its threshold
-                    if any(not are_collinear(p[i - 1] - p[min(j, k) - 1],
-                                             p[i - 1] - p[max(j, k) - 1])
-                           for k in tree_adj[i]):
-                        extension = (i, j)
-                        break
-            if extension:
-                break
-        if extension is None:
-            raise NoValidExtensionError(
-                f"no admissible edge extends the tree on vertices {sorted(in_tree)}"
-            )
-        i, j = extension
-        in_tree.add(j)
-        tree_edges.append((min(i, j), max(i, j)))
-        tree_adj.setdefault(j, []).append(i)
-        tree_adj[i].append(j)
-    return Graph(f.n, tuple(tree_edges))
+    start, src, nbr = g._csr
+    _, first, second = g._angle_pairs
+    vecs = _half_edge_vectors(g, f.points)
+    usable = np.zeros(src.size, dtype=bool)  # i -> j is skew to a tested tree edge at i
+    eid = g._edge_ids(src, nbr)
+    lo, tail, head, edge = start.tolist(), src.tolist(), nbr.tolist(), eid.tolist()
+    in_tree, tree, tested = [False] * g.n, [], 0
+    heap = [(0, int(start[g._ends[0][0]]))]  # half-edges out of the tree, by edge
+    while len(tree) < g.n - 1:
+        if not heap:
+            raise NoValidExtensionError("no admissible edge extends the tree on vertices "
+                                        f"{[v + 1 for v in range(g.n) if in_tree[v]]}")
+        h = heap[0][1]
+        ready = usable[h] or not tree  # the smallest edge seeds the tree
+        if in_tree[head[h]] or not ready and len(tree) == tested:
+            heapq.heappop(heap)  # pushed again when its tail gains a tree edge
+        elif not ready:  # test the new tree edges against the others at their ends
+            leg, tested = np.isin(eid, tree[tested:]), len(tree)
+            pair = (leg[first] & ~usable[second]) | (leg[second] & ~usable[first])
+            u, v = first[pair], second[pair]
+            skew = ~are_collinear(vecs[u], vecs[v])
+            usable[u[skew & leg[v]]] = usable[v[skew & leg[u]]] = True
+        else:
+            tree.append(heapq.heappop(heap)[0])  # the edge of h
+            in_tree[tail[h]] = in_tree[head[h]] = True
+            for p in [*range(lo[tail[h]], lo[tail[h] + 1]), *range(lo[head[h]], lo[head[h] + 1])]:
+                if not (usable[p] or in_tree[head[p]]):
+                    heapq.heappush(heap, (edge[p], p))
+    return Graph(g.n, tuple(g.edges[e] for e in tree))
 
 
 def minimal_triple_set(tree: Graph, c: Configuration) -> TripleSet:
@@ -127,27 +131,19 @@ def minimal_triple_set(tree: Graph, c: Configuration) -> TripleSet:
         raise InputError("tree and configuration disagree on the vertex count")
     start, src, nbr = tree._csr
     vecs = _half_edge_vectors(tree, c.points)
-    # whether each half-edge is collinear with the first one leaving its vertex
-    collinear = are_collinear(vecs[start[src]], vecs).tolist()
-    start, nbr = start.tolist(), (nbr + 1).tolist()
-    trips = [distance_triple(i, j) for i, j in tree.edges]
-    for i in range(tree.n):
-        lo, hi = start[i], start[i + 1]
-        if hi - lo < 2:
-            continue
-        nb = nbr[lo:hi]
-        j_i = nb[0]
-        hat = [j_i] + [k for k, col in zip(nb[1:], collinear[lo + 1:hi]) if col]
-        rest = [k for k in nb if k not in hat]
-        if not rest:
-            raise ConstructionError(
-                f"vertex {i + 1}: all incident tree edges collinear, tree is not "
-                "minimally infinitesimally weakly rigid"
-            )
-        for k in rest:
-            trips.append((i + 1, j_i, k))
-        if len(hat) > 1:
-            k_i = rest[0]
-            for j in hat[1:]:
-                trips.append((i + 1, min(j, k_i), max(j, k_i)))
-    return TripleSet(tuple(trips))
+    pos = np.arange(src.size)
+    lead = start[src]  # the half-edge to j_i, from each half-edge's vertex
+    hat = (pos == lead) | are_collinear(vecs[lead], vecs)  # j_i's side of the split
+    k_i = np.full(tree.n, src.size)  # the first half-edge of the other side
+    np.minimum.at(k_i, src[~hat], pos[~hat])
+    inner = np.diff(start)[src] > 1
+    bad = inner & (k_i[src] == src.size)
+    if bad.any():
+        raise ConstructionError(f"vertex {src[bad.argmax()] + 1}: all incident tree edges "
+                                "collinear, tree is not minimally infinitesimally weakly rigid")
+    k = nbr.take(k_i[src], mode="clip")
+    rows = np.stack([src, np.where(hat, np.minimum(nbr, k), nbr[lead]),
+                     np.where(hat, np.maximum(nbr, k), nbr)], axis=1)
+    order = np.argsort(2 * src + hat, kind="stable")  # (i, j_i, k) rows, then (i, j, k_i)
+    rows = rows[order[(inner & (pos != lead))[order]]]
+    return TripleSet(np.concatenate([_distance_triples(tree)._arr, rows + 1]))

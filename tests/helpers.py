@@ -7,18 +7,28 @@ import numpy as np
 
 from weakrig import (
     Configuration,
+    ConstructionError,
+    DomainError,
     Framework,
     GainMatrix,
     Graph,
     InputError,
     Law,
+    NoValidExtensionError,
+    NotRealizableError,
     TripleSet,
+    UnsupportedDimensionError,
+    are_collinear,
     distance_triple,
+    edge_vector_matrix,
     full_triple_set,
     jacobian_at_target,
     numerical_rank,
     residuals,
 )
+from weakrig.graphs import _bfs
+from weakrig.linalg import RANK_RTOL
+from weakrig.shape import _CERTIFY_BLOCK, PSD_CLAMP_RTOL
 
 
 def random_connected_graph(rng, n, extra_prob=0.3):
@@ -427,6 +437,103 @@ def reference_are_collinear(u, v):
     return float(np.linalg.norm(w)) <= 1e-9 * nu
 
 
+# The scan ``min_iwr_spanning_tree`` used before it decided skew pairs in
+# stacked tests: every edge rescanned per added vertex, one scalar
+# collinearity test per pair.
+
+def reference_min_iwr_spanning_tree(f):
+    """Grow a spanning tree whose subframework is minimally infinitesimally
+    weakly rigid.
+
+    Seeded with the lexicographically smallest edge; each added edge (i, j),
+    i inside the tree, must be non-collinear with some tree edge at i.
+    Candidates are scanned in lexicographic order, so the result is
+    deterministic.
+    """
+    if f.d != 2:
+        raise UnsupportedDimensionError(
+            f"tree construction is planar-only (d = 2); got d = {f.d}"
+        )
+    if f.graph.m == 0:
+        raise NoValidExtensionError("graph has no edges to seed the tree")
+    p = f.points
+    a, b = f.graph.edges[0]
+    in_tree = {a, b}
+    tree_edges = [(a, b)]
+    tree_adj = {a: [b], b: [a]}
+    while len(in_tree) < f.n:
+        extension = None
+        for u, v in f.graph.edges:
+            for i, j in ((u, v), (v, u)):
+                if i in in_tree and j not in in_tree:
+                    # legs in label order, as the graphical test passes them:
+                    # are_collinear is not symmetric at its threshold
+                    if any(not are_collinear(p[i - 1] - p[min(j, k) - 1],
+                                             p[i - 1] - p[max(j, k) - 1])
+                           for k in tree_adj[i]):
+                        extension = (i, j)
+                        break
+            if extension:
+                break
+        if extension is None:
+            raise NoValidExtensionError(
+                f"no admissible edge extends the tree on vertices {sorted(in_tree)}"
+            )
+        i, j = extension
+        in_tree.add(j)
+        tree_edges.append((min(i, j), max(i, j)))
+        tree_adj.setdefault(j, []).append(i)
+        tree_adj[i].append(j)
+    return Graph(f.n, tuple(tree_edges))
+
+
+# The per-vertex loop ``minimal_triple_set`` used before it built its rows
+# with array operations.
+
+def reference_minimal_triple_set(tree, c):
+    """Constraint set of exactly 2n-3 triples on a minimally infinitesimally
+    weakly rigid spanning tree.
+
+    All n-1 distance constraints, plus per internal vertex i: split the
+    neighbors into those collinear with the edge to the smallest neighbor j_i
+    and the rest, then take (i, j_i, k) across the split and, if the collinear
+    side has more than one member, (i, j, k_i) for the extra members against
+    the smallest k_i of the other side.
+    """
+    if c.d != 2:
+        raise UnsupportedDimensionError(
+            f"triple-set construction is planar-only (d = 2); got d = {c.d}"
+        )
+    if tree.n != c.n:
+        raise InputError("tree and configuration disagree on the vertex count")
+    start, src, nbr = tree._csr
+    vecs = c.points.take(src, axis=0) - c.points.take(nbr, axis=0)
+    # whether each half-edge is collinear with the first one leaving its vertex
+    collinear = are_collinear(vecs[start[src]], vecs).tolist()
+    start, nbr = start.tolist(), (nbr + 1).tolist()
+    trips = [distance_triple(i, j) for i, j in tree.edges]
+    for i in range(tree.n):
+        lo, hi = start[i], start[i + 1]
+        if hi - lo < 2:
+            continue
+        nb = nbr[lo:hi]
+        j_i = nb[0]
+        hat = [j_i] + [k for k, col in zip(nb[1:], collinear[lo + 1:hi]) if col]
+        rest = [k for k in nb if k not in hat]
+        if not rest:
+            raise ConstructionError(
+                f"vertex {i + 1}: all incident tree edges collinear, tree is not "
+                "minimally infinitesimally weakly rigid"
+            )
+        for k in rest:
+            trips.append((i + 1, j_i, k))
+        if len(hat) > 1:
+            k_i = rest[0]
+            for j in hat[1:]:
+                trips.append((i + 1, min(j, k_i), max(j, k_i)))
+    return TripleSet(tuple(trips))
+
+
 def reference_collinearity_defects(f):
     adj = reference_adjacency(f.n, f.graph.edges)
     p = f.points
@@ -527,6 +634,75 @@ def reference_recover_shape(g, graph, d):
             known.add(vtx)
             stack.append(vtx)
     return Configuration(pts)
+
+
+# ``recover_shape`` as it was when it placed the points one child at a time,
+# kept so the level-by-level placement can be checked against it bit for bit.
+
+def reference_recover_shape_by_child(g, graph, d):
+    """Reconstruct coordinates whose edge Gram matrix equals ``g``.
+
+    Checks the (n-1)x(n-1) block of ``g`` on the BFS spanning-tree edges for
+    symmetry, PSD (eigenvalues within -1e-10 of the largest are clamped) and
+    rank <= d, factors it (top-d eigenpairs) and places the points along the
+    tree from p_1 = origin. The tree edges fix every other edge by the cycle
+    law, so all of ``g`` is then certified against the rebuilt framework's
+    Gram matrix: an entry off by more than ``PSD_CLAMP_RTOL * max(1, max|g|)``
+    raises NotRealizableError. The result is congruent to any realization.
+    """
+    order, parent = _bfs(graph)
+    if order.size < graph.n:
+        raise DomainError("shape recovery requires a connected graph")
+    g = np.asarray(g, dtype=float)
+    m = graph.m
+    if g.shape != (m, m):
+        raise InputError(f"Gram matrix must be {m}x{m} for this graph, got {g.shape}")
+    if d < 1:
+        raise InputError("dimension must be >= 1")
+    if m == 0:
+        return Configuration(np.zeros((graph.n, d)))
+
+    child = order[1:]
+    up = parent[child]
+    tree = graph._edge_ids(up, child)
+    gmin, gmax = float(g.min()), float(g.max())
+    if not -np.inf < gmin <= gmax < np.inf:
+        raise InputError("Gram matrix must be finite")
+    scale = max(1.0, gmax, -gmin)
+    block = g[np.ix_(tree, tree)]
+    if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
+        raise InputError("Gram matrix is not symmetric")
+    w, v = np.linalg.eigh(block)
+    lam_max = float(w[-1])
+    if lam_max < 0.0:
+        raise NotRealizableError("Gram matrix is not positive semidefinite")
+    if float(w[0]) < -PSD_CLAMP_RTOL * lam_max:
+        raise NotRealizableError(
+            f"Gram matrix has eigenvalue {w[0]:.3e} below the PSD tolerance"
+        )
+    w = np.clip(w, 0.0, None)
+    rank = int(np.count_nonzero(w > max((graph.n - 1) * lam_max * RANK_RTOL, 1e-12)))
+    if rank > d:
+        raise NotRealizableError(
+            f"Gram matrix has numerical rank {rank}, not realizable in dimension {d}"
+        )
+    k = min(d, graph.n - 1)
+    # p_child - p_parent along each tree edge, whose column holds p_min - p_max
+    pts = np.zeros((graph.n, d))
+    pts[child, :k] = v[:, -k:] * np.sqrt(w[-k:])
+    pts[child[up < child]] *= -1.0
+    for u, c in zip(up, child):  # BFS order places every parent before its children
+        pts[c] += pts[u]
+    rebuilt = Framework(graph, Configuration(pts))
+    e = edge_vector_matrix(rebuilt).T
+    tol = PSD_CLAMP_RTOL * scale
+    rows = max(1, _CERTIFY_BLOCK // m)
+    for lo in range(0, m, rows):
+        gap = float(np.max(np.abs(g[lo:lo + rows] - e[lo:lo + rows] @ e.T)))
+        if gap > tol:
+            raise NotRealizableError(f"Gram matrix breaks the cycle law by {gap:.3e} "
+                                     f"(tolerance {tol:.3e})")
+    return rebuilt.config
 
 
 def _reference_fmt(x):

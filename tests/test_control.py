@@ -71,6 +71,37 @@ def random_gain(rng, n, d):
     return GainMatrix(tuple(rng.uniform(-1.5, 1.5, (d, d)) for _ in range(n)))
 
 
+NAN_BLOCK = np.array([[1.0, np.nan], [0.0, 1.0]])
+
+
+class TestGainMatrix:
+    @pytest.mark.parametrize("blocks, message", [
+        ((), "gain needs at least one block"),
+        ((np.ones((2, 3)),), "gain blocks must be square matrices"),
+        ((np.eye(2), np.ones(2)), "gain blocks must be square matrices"),
+        ((np.eye(2), np.eye(3)), "gain blocks must share one dimension"),
+        ((np.eye(2), NAN_BLOCK), "gain blocks must be finite"),
+        # the first failing block wins, and within it the first failing check
+        ((NAN_BLOCK, np.ones((2, 3))), "gain blocks must be finite"),
+        ((np.eye(2), np.full((3, 3), np.inf)), "gain blocks must share one dimension"),
+        ((np.ones((3, 2)), np.eye(2), NAN_BLOCK), "gain blocks must be square matrices"),
+        ((5.0,), "gain blocks must be square matrices"),
+        ((np.eye(2), np.ones((2, 2, 2))), "gain blocks must be square matrices"),
+        ((np.eye(2), [[np.inf]]), "gain blocks must share one dimension"),
+        ((np.eye(2), NAN_BLOCK, np.eye(3)), "gain blocks must be finite"),
+    ])
+    def test_each_message_and_which_wins(self, blocks, message):
+        with pytest.raises(InputError) as exc:
+            GainMatrix(blocks)
+        assert str(exc.value) == message
+
+    def test_blocks_are_read_only_float_views_of_one_stack(self):
+        gain = GainMatrix(([[1, 2], [3, 4]], np.eye(2)))
+        assert gain.n == 2 and gain.d == 2
+        assert all(b.dtype == float and not b.flags.writeable for b in gain.blocks)
+        assert np.array_equal(gain.stacked(), [[[1.0, 2.0], [3.0, 4.0]], np.eye(2)])
+
+
 class TestBuildFormationTriples:
     def test_tree_in_triangle(self):
         gf = Graph(3, ((1, 2), (1, 3)))

@@ -1,13 +1,15 @@
-"""Property tests: the array-built graphs, triple sets, edge lookup and
-collinearity test against the per-edge, per-triple and per-pair reference
-loops in helpers.py, on generated graphs with 1..30 vertices (isolated
-vertices and edgeless graphs included)."""
+"""Property tests: the array-built graphs, triple sets, edge lookup,
+collinearity test, spanning tree and 2n-3 construction against the per-edge,
+per-triple and per-pair reference loops in helpers.py, on generated graphs
+with 1..30 vertices (isolated vertices and edgeless graphs included), and on
+dense graphs with up to 100 vertices."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from conftest import BORDERLINE_STAR_POINTS  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
@@ -18,21 +20,28 @@ from helpers import (  # noqa: E402
     reference_collinearity_defects,
     reference_full_triple_set,
     reference_graph_edges,
+    reference_min_iwr_spanning_tree,
+    reference_minimal_triple_set,
     reference_require_valid_for,
     reference_restrict_triples_to_tree,
     reference_validate_triples,
 )
 from weakrig import (  # noqa: E402
     Configuration,
+    ConstructionError,
     Framework,
     Graph,
     InputError,
+    NoValidExtensionError,
     TripleSet,
+    UnsupportedDimensionError,
     are_collinear,
     build_formation_triples,
     check_planar_graphical_condition,
     collinearity_defects,
     full_triple_set,
+    min_iwr_spanning_tree,
+    minimal_triple_set,
     neighbors,
     restrict_triples_to_tree,
 )
@@ -104,6 +113,19 @@ def test_full_triple_set_matches_nested_loop(g):
     assert all(type(v) is int for t in got for v in t)
 
 
+def dense_graph(rng, n, p=0.3):
+    """A graph on 1..n with each pair an edge with probability p."""
+    return Graph(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                          if rng.random() < p))
+
+
+@settings(max_examples=15)
+@given(st.integers(30, 100), st.integers(0, 2**32 - 1))
+def test_dense_full_triple_set_matches_nested_loop(n, seed):
+    g = dense_graph(np.random.default_rng(seed), n)
+    assert full_triple_set(g).triples == reference_full_triple_set(g)
+
+
 @given(graphs(), st.data())
 def test_edge_lookup_matches_edge_set(g, data):
     u = np.array(data.draw(st.lists(st.integers(-1, g.n), max_size=40)), dtype=np.int64)
@@ -127,6 +149,23 @@ def test_triple_set_matches_reference_validator(g, data):
         assert TripleSet(array) == TripleSet(trips)
         assert _outcome(TripleSet(array).require_valid_for, g) \
             == _outcome(reference_require_valid_for, g, expected)
+
+
+@settings(max_examples=40)
+@given(st.integers(12, 100), st.data())
+def test_triple_set_matches_reference_validator_on_dense_graphs_and_far_labels(n, data):
+    """Relabelled triples: some or all labels moved by about 2**62 (up or
+    down), so labels 0..n+1 and the moved ones span more than a key packing
+    three of them in int64 can hold, or all sit near 2**62."""
+    g = dense_graph(_rng(data.draw), n)
+    offset = data.draw(st.sampled_from((0, 2**62 - 64, 2**62, -(2**62))))
+    moved = _rng(data.draw).random(n + 2) < data.draw(st.sampled_from((0.5, 1.0)))
+    trips = [tuple(v + offset if moved[v] else v for v in t)
+             for t in data.draw(triple_lists(g))]
+    expected = _outcome(reference_validate_triples, trips)
+    array = np.array(trips, dtype=np.int64).reshape(-1, 3)
+    for given_as in (trips, array):
+        assert _outcome(lambda t: TripleSet(t).triples, given_as) == expected
 
 
 @given(graphs(), st.data())
@@ -283,3 +322,68 @@ def test_graphical_test_checks_collinearity_once(monkeypatch):
         assert check_planar_graphical_condition(fw)
         frameworks += 1
         assert len(calls) == frameworks and calls[-1] == pairs
+
+
+def _tree_outcome(build, fw):
+    """The tree's edges, or the type and text of the error it raises."""
+    try:
+        return build(fw).edges
+    except (NoValidExtensionError, UnsupportedDimensionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def dense_planar_frameworks(draw):
+    """A graph on 2..100 vertices with each pair an edge with probability 0.3
+    (or 0.05, often disconnected), at uniform points or at integer points of
+    a small grid, where many edges at a vertex are collinear and many points
+    coincide."""
+    rng = _rng(draw)
+    n = draw(st.integers(2, 100))
+    g = dense_graph(rng, n, draw(st.sampled_from((0.3, 0.05))))
+    grid = draw(st.sampled_from((None, 3, 10)))
+    pts = rng.uniform(-1.0, 1.0, (n, 2)) if grid is None else rng.integers(0, grid, (n, 2))
+    return Framework(g, Configuration(pts))
+
+
+@example(Framework(Graph(3, ((1, 2), (1, 3))), Configuration(BORDERLINE_STAR_POINTS)))
+@given(st.one_of(near_collinear_stars(), dense_planar_frameworks()))
+def test_tree_matches_edge_scan(fw):
+    assert _tree_outcome(min_iwr_spanning_tree, fw) \
+        == _tree_outcome(reference_min_iwr_spanning_tree, fw)
+
+
+def test_tree_tests_collinearity_in_stacks(monkeypatch):
+    """Skew pairs are decided in a few stacked calls, never pair by pair."""
+    calls = []
+    stacked = triples_module.are_collinear
+
+    def counted(u, v):
+        calls.append(np.shape(u))
+        return stacked(u, v)
+
+    monkeypatch.setattr(triples_module, "are_collinear", counted)
+    rng = np.random.default_rng(12)
+    for n in (8, 20, 40, 100):
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if j == i + 1 or rng.random() < 0.3]
+        fw = Framework(Graph(n, tuple(edges)), Configuration(pts))
+        calls.clear()
+        assert min_iwr_spanning_tree(fw) == reference_min_iwr_spanning_tree(fw)
+        assert 0 < len(calls) <= 5 and all(len(shape) == 2 for shape in calls)
+
+
+@given(st.one_of(near_collinear_stars(), dense_planar_frameworks()), st.data())
+def test_minimal_triple_set_matches_per_vertex_loop(fw, data):
+    """On subgraphs of the framework's graph, trees or not, so vertices with
+    all edges collinear, and splits with several collinear edges, occur."""
+    g = data.draw(subgraphs(fw.graph))
+
+    def outcome(build):
+        try:
+            return build(g, fw.config).triples
+        except (ConstructionError, UnsupportedDimensionError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    assert outcome(minimal_triple_set) == outcome(reference_minimal_triple_set)
