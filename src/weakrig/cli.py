@@ -32,11 +32,10 @@ from .framework import (
     _weak_rigidity_operator,
     required_rank,
 )
-from .graphs import is_connected, spanning_tree
+from .graphs import spanning_tree
 from .simulate import convergence_rate, integrate, monitor_invariants
 from .triples import (
-    check_planar_graphical_condition,
-    collinearity_defects,
+    _graphical_defects,
     full_triple_set,
     min_iwr_spanning_tree,
     minimal_triple_set,
@@ -48,12 +47,10 @@ DEFAULT_SEED = 42
 def _planar_failures(fw) -> list[str]:
     """Planar graphical test: no lines when it holds, else why it fails.
     Raises DomainError (exit code 2) for d != 2 or n < 3."""
-    if check_planar_graphical_condition(fw):
-        return []
-    if not is_connected(fw.graph):
+    defects = _graphical_defects(fw)
+    if defects is None:
         return ["fails: graph is disconnected"]
-    return [f"fails at vertex {v}: all incident edges collinear"
-            for v in collinearity_defects(fw)]
+    return [f"fails at vertex {v}: all incident edges collinear" for v in defects]
 
 
 def _cmd_check(args) -> int:

@@ -265,10 +265,8 @@ class _ConstraintOperator:
     def rank(self, pts: np.ndarray) -> int:
         """``numerical_rank(dense(pts))``: the singular values of ``reduced``
         against the tolerance of the (s, ncols*d) shape."""
-        r = self.reduced(pts)
-        if r.size == 0:
-            return 0
-        return int(_rank_of(np.linalg.svd(r, compute_uv=False), (self.s, self.ncols * self.d)))
+        sv = np.linalg.svd(self.reduced(pts), compute_uv=False)
+        return int(_rank_of(sv, (self.s, self.ncols * self.d)))
 
 
 class _ApexBlocks:

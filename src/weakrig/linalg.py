@@ -1,5 +1,7 @@
 """Numerical rank and collinearity tests with fixed, scale-aware tolerances."""
 
+from functools import cache
+
 import numpy as np
 
 RANK_RTOL = 1e-10
@@ -7,24 +9,21 @@ COLLINEAR_RTOL = 1e-9
 
 
 def numerical_rank(m):
-    """Count singular values above ``max(shape) * smax * 1e-10`` (floor 1e-12).
+    """Count singular values above ``max(shape) * smax * 1e-10``.
 
     A stack of matrices, shape (..., r, c), gets one rank per matrix from a
     single stacked SVD, returned as an int array.
     """
     a = np.asarray(m, dtype=float)
-    if a.size == 0:
-        return 0 if a.ndim <= 2 else np.zeros(a.shape[:-2], dtype=np.intp)
     ranks = _rank_of(np.linalg.svd(a, compute_uv=False), a.shape[-2:])
     return int(ranks) if a.ndim == 2 else ranks
 
 
 def _rank_of(sv, shape):
-    """Count the singular values (..., k) above ``max(shape) * smax * 1e-10``
-    (floor 1e-12), where ``shape`` is that of the matrix they came from."""
-    tol = max(shape) * sv[..., :1] * RANK_RTOL
-    tol[tol == 0.0] = 1e-12
-    return np.count_nonzero(sv > tol, axis=-1)
+    """Count the descending singular values (..., k) above ``max(shape) * smax
+    * 1e-10``, where ``shape`` is that of the matrix they came from. Every
+    rank the package decides is counted by this rule."""
+    return np.count_nonzero(sv > max(shape) * sv[..., :1] * RANK_RTOL, axis=-1)
 
 
 def _dot(u, v):
@@ -32,19 +31,23 @@ def _dot(u, v):
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-def are_collinear(u, v):
-    """Scale-invariant collinearity test; zero vectors are collinear with anything.
+@cache
+def _minor_axes(d):
+    """Index pairs (a, b), a < b, of the 2x2 minors of a (d, 2) matrix."""
+    return np.triu_indices(d, 1)
 
-    Uses the rejection of ``u`` from ``v``, so the effective criterion is
-    ``|cross| <= 1e-9 * |u| * |v|`` without the cancellation a Gram-determinant
-    formula would suffer near zero angle. Stacks of shape (..., d) are tested
-    pair by pair and give a bool array; a pair of 1-D vectors gives a bool.
+
+def are_collinear(u, v):
+    """Scale-invariant collinearity test: ``|u ^ v| <= 1e-9 * |u| * |v|``.
+
+    ``|u ^ v|`` is the hypot of the 2x2 minors ``u_a v_b - u_b v_a`` (a < b).
+    Swapping u and v negates each minor exactly, so the verdict is symmetric,
+    and a zero vector is collinear with anything. Stacks of shape (..., d) are
+    tested pair by pair and give a bool array; a pair of 1-D vectors gives a bool.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.sqrt(_dot(u, u))
-    nv = np.sqrt(_dot(v, v))
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero v: decided by nv below
-        w = u - v * (_dot(u, v) / (nv * nv))[..., None]
-    ok = (nu == 0.0) | (nv == 0.0) | (np.sqrt(_dot(w, w)) <= COLLINEAR_RTOL * nu)
+    a, b = _minor_axes(u.shape[-1])
+    wedge = np.hypot.reduce(u[..., a] * v[..., b] - u[..., b] * v[..., a], axis=-1, initial=0.0)
+    ok = wedge <= COLLINEAR_RTOL * (np.sqrt(_dot(u, u)) * np.sqrt(_dot(v, v)))
     return bool(ok) if ok.ndim == 0 else ok

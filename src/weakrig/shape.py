@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, InputError, NotRealizableError
 from .framework import Configuration, Framework
 from .graphs import Graph, _bfs
-from .linalg import RANK_RTOL
+from .linalg import _rank_of
 
 PSD_CLAMP_RTOL = 1e-10
 _CERTIFY_BLOCK = 2**14  # Gram entries per row strip of the realizability certificate
@@ -107,11 +107,12 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
 
     Checks the (n-1)x(n-1) block of ``g`` on the BFS spanning-tree edges for
     symmetry, PSD (eigenvalues within -1e-10 of the largest are clamped) and
-    rank <= d, factors it (top-d eigenpairs) and places the points along the
-    tree from p_1 = origin. The tree edges fix every other edge by the cycle
-    law, so all of ``g`` is then certified against the rebuilt framework's
-    Gram matrix: an entry off by more than ``PSD_CLAMP_RTOL * max(1, max|g|)``
-    raises NotRealizableError. The result is congruent to any realization.
+    rank <= d (the ``numerical_rank`` rule), factors it (top-d eigenpairs) and
+    places the points along the tree from p_1 = origin. The tree edges fix
+    every other edge by the cycle law, so all of ``g`` is then certified
+    against the rebuilt framework's Gram matrix: an entry off by more than
+    ``PSD_CLAMP_RTOL * max(1, max|g|)`` raises NotRealizableError. The result
+    is congruent to any realization.
     """
     order, parent = _bfs(graph)
     if order.size < graph.n:
@@ -136,15 +137,12 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
         raise InputError("Gram matrix is not symmetric")
     w, v = np.linalg.eigh(block)
-    lam_max = float(w[-1])
-    if lam_max < 0.0:
-        raise NotRealizableError("Gram matrix is not positive semidefinite")
-    if float(w[0]) < -PSD_CLAMP_RTOL * lam_max:
+    if float(w[0]) < -PSD_CLAMP_RTOL * float(w[-1]):
         raise NotRealizableError(
             f"Gram matrix has eigenvalue {w[0]:.3e} below the PSD tolerance"
         )
     w = np.clip(w, 0.0, None)
-    rank = int(np.count_nonzero(w > max((graph.n - 1) * lam_max * RANK_RTOL, 1e-12)))
+    rank = int(_rank_of(w[::-1], block.shape))
     if rank > d:
         raise NotRealizableError(
             f"Gram matrix has numerical rank {rank}, not realizable in dimension {d}"

@@ -43,6 +43,11 @@ def _half_edge_vectors(g: Graph, p: np.ndarray) -> np.ndarray:
     return p.take(src, axis=0) - p.take(nbr, axis=0)
 
 
+def _require_planar(d: int, task: str) -> None:
+    if d != 2:
+        raise UnsupportedDimensionError(f"{task} is planar-only (d = 2); got d = {d}")
+
+
 def collinearity_defects(f: Framework) -> list[int]:
     """Vertices with >= 2 neighbors whose incident edge vectors are pairwise collinear."""
     g = f.graph
@@ -54,16 +59,20 @@ def collinearity_defects(f: Framework) -> list[int]:
     return (np.flatnonzero(bad) + 1).tolist()
 
 
-def check_planar_graphical_condition(f: Framework) -> bool:
-    """Planar test equivalent to infinitesimal weak rigidity for some triple set:
-    connected, and every vertex with >= 2 neighbors has a non-collinear pair."""
-    if f.d != 2:
-        raise UnsupportedDimensionError(
-            f"graphical test is planar-only (d = 2); got d = {f.d}"
-        )
+def _graphical_defects(f: Framework) -> list[int] | None:
+    """None if the graph is disconnected, else ``collinearity_defects(f)``."""
+    _require_planar(f.d, "graphical test")
     if f.n < 3:
         raise DomainError("graphical test needs at least 3 vertices")
-    return is_connected(f.graph) and not collinearity_defects(f)
+    return collinearity_defects(f) if is_connected(f.graph) else None
+
+
+def check_planar_graphical_condition(f: Framework) -> bool:
+    """Planar test equivalent to infinitesimal weak rigidity for some triple set:
+    connected, and every vertex with >= 2 neighbors has a non-collinear pair.
+    Its per-pair tolerance is not the rank tests' whole-matrix one, so the two
+    can disagree where a vertex's edges lie within ~1e-8 (relative) of a line."""
+    return _graphical_defects(f) == []
 
 
 def min_iwr_spanning_tree(f: Framework) -> Graph:
@@ -72,13 +81,10 @@ def min_iwr_spanning_tree(f: Framework) -> Graph:
 
     Seeded with the lexicographically smallest edge, each step adds the smallest
     edge (i, j), i in the tree, non-collinear with some tree edge at i. The angle
-    pairs, as the graphical test reads them, of the tree edges added since the
-    last test are tested in one stacked call once the smallest candidate needs it.
+    pairs of the tree edges added since the last test are tested in one stacked
+    call once the smallest candidate needs it.
     """
-    if f.d != 2:
-        raise UnsupportedDimensionError(
-            f"tree construction is planar-only (d = 2); got d = {f.d}"
-        )
+    _require_planar(f.d, "tree construction")
     g = f.graph
     if g.m == 0:
         raise NoValidExtensionError("graph has no edges to seed the tree")
@@ -123,10 +129,7 @@ def minimal_triple_set(tree: Graph, c: Configuration) -> TripleSet:
     side has more than one member, (i, j, k_i) for the extra members against
     the smallest k_i of the other side.
     """
-    if c.d != 2:
-        raise UnsupportedDimensionError(
-            f"triple-set construction is planar-only (d = 2); got d = {c.d}"
-        )
+    _require_planar(c.d, "triple-set construction")
     if tree.n != c.n:
         raise InputError("tree and configuration disagree on the vertex count")
     start, src, nbr = tree._csr

@@ -63,8 +63,8 @@ STAR_POINTS = np.array([
 STAR_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))
 
 # Two-leaf star with edges (1, 2) and (1, 3) whose angle sits at the
-# collinearity threshold, where are_collinear(e12, e13) says skew and
-# are_collinear(e13, e12) says collinear.
+# collinearity threshold: |e12 ^ e13| exceeds 1e-9 * |e12| * |e13| by a
+# relative 1.3e-8, so the two edges are skew.
 BORDERLINE_STAR_POINTS = np.array([
     [0.0, 0.0], [-0.2873877078086663, 1.5744082788445868],
     [-23.966538584310683, 131.29690492505637],

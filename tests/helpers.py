@@ -27,7 +27,7 @@ from weakrig import (
     residuals,
 )
 from weakrig.graphs import _bfs
-from weakrig.linalg import RANK_RTOL
+from weakrig.linalg import _rank_of
 from weakrig.shape import _CERTIFY_BLOCK, PSD_CLAMP_RTOL
 
 
@@ -427,6 +427,17 @@ def reference_bfs(g):
 
 
 def reference_are_collinear(u, v):
+    """|u ^ v| <= 1e-9 |u| |v|, over the 2x2 minors u_a v_b - u_b v_a, a < b."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    minors = [u[a] * v[b] - u[b] * v[a] for a in range(u.size) for b in range(a + 1, u.size)]
+    return math.hypot(*minors) <= 1e-9 * (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def projection_are_collinear(u, v):
+    """The rejection of u from v against 1e-9 |u|: the same criterion as
+    ``reference_are_collinear`` up to rounding, but at the threshold its
+    verdict depends on the order of the arguments."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu = np.linalg.norm(u)
@@ -466,10 +477,7 @@ def reference_min_iwr_spanning_tree(f):
         for u, v in f.graph.edges:
             for i, j in ((u, v), (v, u)):
                 if i in in_tree and j not in in_tree:
-                    # legs in label order, as the graphical test passes them:
-                    # are_collinear is not symmetric at its threshold
-                    if any(not are_collinear(p[i - 1] - p[min(j, k) - 1],
-                                             p[i - 1] - p[max(j, k) - 1])
+                    if any(not are_collinear(p[i - 1] - p[j - 1], p[i - 1] - p[k - 1])
                            for k in tree_adj[i]):
                         extension = (i, j)
                         break
@@ -673,15 +681,12 @@ def reference_recover_shape_by_child(g, graph, d):
     if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
         raise InputError("Gram matrix is not symmetric")
     w, v = np.linalg.eigh(block)
-    lam_max = float(w[-1])
-    if lam_max < 0.0:
-        raise NotRealizableError("Gram matrix is not positive semidefinite")
-    if float(w[0]) < -PSD_CLAMP_RTOL * lam_max:
+    if float(w[0]) < -PSD_CLAMP_RTOL * float(w[-1]):
         raise NotRealizableError(
             f"Gram matrix has eigenvalue {w[0]:.3e} below the PSD tolerance"
         )
     w = np.clip(w, 0.0, None)
-    rank = int(np.count_nonzero(w > max((graph.n - 1) * lam_max * RANK_RTOL, 1e-12)))
+    rank = int(_rank_of(w[::-1], block.shape))
     if rank > d:
         raise NotRealizableError(
             f"Gram matrix has numerical rank {rank}, not realizable in dimension {d}"

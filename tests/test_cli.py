@@ -162,6 +162,20 @@ class TestTstar:
             "spanning tree edges: (1,2) (1,3)", f"wrote 3 triples to {out}"]
         assert json.loads(out.read_text())["triples"] == [[2, 1, 1], [3, 1, 1], [1, 2, 3]]
 
+    def test_relabelled_borderline_star_holds_in_both_commands(self, tmp_path, capsys):
+        """Swapping the labels of the two leaves keeps the verdict: the
+        collinearity test does not depend on the order of the edges."""
+        obj = {"n": 3, "edges": [[1, 2], [1, 3]], "d": 2,
+               "points": BORDERLINE_STAR_POINTS[[0, 2, 1]].tolist()}
+        path, out = tmp_path / "star.json", tmp_path / "tdagger.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "--mode", "graphical"]) == 0
+        assert main(["tstar", str(path), str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "graphical condition: holds", "spanning tree edges: (1,2) (1,3)",
+            f"wrote 3 triples to {out}"]
+        assert json.loads(out.read_text())["triples"] == [[2, 1, 1], [3, 1, 1], [1, 2, 3]]
+
     def test_condition_failure_names_vertex(self, collinear_star_file, capsys):
         out_code = main(["tstar", collinear_star_file, "/tmp/unused_tstar.json"])
         assert out_code == 1

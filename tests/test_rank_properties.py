@@ -1,7 +1,7 @@
 """Property tests: the apex-blocked rank of every constraint operator against
 the dense reference ``numerical_rank(op.dense(pts))`` in helpers.py, on
 generated connected graphs in d = 1, 2, 3 (full, subset, distance and
-tree-edge sets), plus the edge cases the tolerance floor and the block layout
+tree-edge sets), plus the edge cases the tolerance and the block layout
 meet: no rows, coincident points, vertices that are apex of no row, and stars
 whose leaves sit within 1e-7..1e-10 of a line."""
 
@@ -139,7 +139,8 @@ def test_no_rows():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_coincident_points_use_the_floor(d):
-    """sigma_1 = 0, so the tolerance is the 1e-12 floor and the rank is 0."""
+    """sigma_1 = 0, so the tolerance is 0, no singular value exceeds it and
+    the rank is 0."""
     n = d + 3
     graph = Graph(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
     fw = Framework(graph, Configuration(np.full((n, d), 0.25)))

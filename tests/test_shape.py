@@ -243,6 +243,21 @@ class TestRecoverShape:
             rec = recover_shape(gram(fw), fw.graph, d)
             assert shape_distance(rec, fw.config) <= 1e-8
 
+    @pytest.mark.parametrize("scale", [3e-7, 1e-7, 1e-8])
+    def test_small_spatial_framework_is_not_planar(self, scale):
+        """The tree block's rank follows the numerical_rank rule, which has no
+        absolute floor above zero, so a tiny 3-D framework keeps rank 3."""
+        rng = np.random.default_rng(52)
+        complete = Graph(6, tuple((i, j) for i in range(1, 7) for j in range(i + 1, 7)))
+        fw = Framework(complete, Configuration(scale * rng.uniform(-1.0, 1.0, (6, 3))))
+        with pytest.raises(NotRealizableError, match="numerical rank 3"):
+            recover_shape(gram(fw), complete, 2)
+        rec = recover_shape(gram(fw), complete, 3)
+        assert shape_distance(rec, fw.config) <= 1e-12 * scale
+        flat = Framework(complete, Configuration(fw.points[:, :2]))
+        rec = recover_shape(gram(flat), complete, 2)
+        assert shape_distance(rec, flat.config) <= 1e-12 * scale
+
     def test_triangle_breaking_cycle_law_rejected(self):
         # edge vectors (1,0), (0,1), (1,1) on (1,2), (1,3), (2,3): the Gram is PSD
         # with rank 2, but p1-p2 - (p1-p3) + (p2-p3) = (0,-2), not 0

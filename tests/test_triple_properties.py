@@ -13,6 +13,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
+    projection_are_collinear,
     reference_adjacency,
     reference_are_collinear,
     reference_bfs,
@@ -273,6 +274,74 @@ def test_stacked_collinearity_matches_scalar(pair):
     if u.shape[0] % 2 == 0:
         shape = (2, u.shape[0] // 2, u.shape[1])
         assert are_collinear(u.reshape(shape), v.reshape(shape)).ravel().tolist() == expected
+
+
+def _pairs_at_angles(rng, d, theta):
+    """(k, d) stacks u, v at the (k,) angles theta (or pi - theta), with
+    lengths 1e-3..1e3."""
+    line, off = rng.normal(size=(2, theta.size, d))
+    line /= np.linalg.norm(line, axis=1, keepdims=True)
+    off -= line * np.sum(off * line, axis=1, keepdims=True)
+    off /= np.linalg.norm(off, axis=1, keepdims=True)
+    u = line * 10.0 ** rng.uniform(-3, 3, (theta.size, 1))
+    v = np.cos(theta)[:, None] * line + np.sin(theta)[:, None] * off
+    return u, v * rng.choice([-1.0, 1.0], (theta.size, 1)) * 10.0 ** rng.uniform(-3, 3, (theta.size, 1))
+
+
+@given(st.sampled_from((2, 3)), st.data())
+def test_collinearity_is_symmetric_at_the_threshold(d, data):
+    """Swapping the arguments negates each minor exactly, so no pair within
+    rounding of the threshold changes its verdict."""
+    rng = _rng(data.draw)
+    u, v = _pairs_at_angles(rng, d, 1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6, 500)))
+    got = are_collinear(u, v)
+    assert got.tolist() == are_collinear(v, u).tolist()
+    assert [are_collinear(b, a) for a, b in zip(u[:50], v[:50])] == got[:50].tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-140, 1e-80, 1.0, 1e80, 1e140])
+def test_collinearity_keeps_its_verdicts_far_from_unit_length(scale):
+    """The minors are combined by hypot, never squared, so a skew pair of
+    tiny vectors is not called collinear by underflow."""
+    u = np.array([scale, 0.0])
+    assert not are_collinear(u, np.array([0.0, scale]))
+    assert not are_collinear(u, np.array([scale, 2e-9 * scale]))
+    assert are_collinear(u, np.array([-scale, 0.5e-9 * scale]))
+
+
+@given(st.sampled_from((2, 3)), st.data())
+def test_collinearity_matches_exact_integer_cross_product(d, data):
+    """Integer vectors with coordinates up to 1000 are collinear exactly
+    when their integer cross product is zero: multiples of one vector, pairs
+    one unit off such multiples, and generic pairs."""
+    rng = _rng(data.draw)
+    k = 600
+    base = rng.integers(-30, 31, (k, d))
+    s, t = rng.integers(-33, 34, (2, k, 1))
+    kind = rng.integers(0, 3, k)[:, None]
+    u = np.where(kind == 2, rng.integers(-1000, 1001, (k, d)), base * s)
+    v = np.where(kind == 2, rng.integers(-1000, 1001, (k, d)),
+                 base * t + (kind == 1) * rng.integers(-1, 2, (k, d)))
+    a, b = np.triu_indices(d, 1)
+    cross = u[:, a] * v[:, b] - u[:, b] * v[:, a]
+    assert are_collinear(u.astype(float), v.astype(float)).tolist() \
+        == (cross == 0).all(axis=1).tolist()
+
+
+@given(st.sampled_from((2, 3)), st.data())
+def test_minor_rule_matches_projection_rule_off_the_threshold(d, data):
+    """At angles 1e-12..1e-6 rad, the minor rule, the projection rule in
+    either argument order and sin(theta) <= 1e-9 agree wherever sin(theta) is
+    more than 1e-5 (relative) away from the 1e-9 threshold."""
+    rng = _rng(data.draw)
+    theta = 10.0 ** rng.uniform(-12, -6, 200)
+    u, v = _pairs_at_angles(rng, d, theta)
+    got = are_collinear(u, v)
+    assert got.tolist() == [reference_are_collinear(a, b) for a, b in zip(u, v)]
+    far = np.abs(np.sin(theta) / 1e-9 - 1.0) > 1e-5
+    assert got[far].tolist() == (np.sin(theta[far]) <= 1e-9).tolist()
+    assert [projection_are_collinear(a, b) for a, b in zip(u[far], v[far])] == got[far].tolist()
+    assert [projection_are_collinear(b, a) for a, b in zip(u[far], v[far])] == got[far].tolist()
 
 
 @st.composite

@@ -123,13 +123,14 @@ class TestMinIwrSpanningTree:
         assert min_iwr_spanning_tree(fw) == fw.graph
 
     def test_borderline_star_agrees_with_the_graphical_test(self):
-        """Both pass the legs at a vertex in label order, so a star the
-        graphical test accepts at the threshold also extends to a tree."""
-        fw = Framework(Graph(3, ((1, 2), (1, 3))), Configuration(BORDERLINE_STAR_POINTS))
-        assert check_planar_graphical_condition(fw)
-        tree = min_iwr_spanning_tree(fw)
-        assert tree == fw.graph
-        assert minimal_triple_set(tree, fw.config).triples == ((2, 1, 1), (3, 1, 1), (1, 2, 3))
+        """A star the graphical test accepts at the collinearity threshold
+        also extends to a tree, under either labelling of its leaves."""
+        for pts in (BORDERLINE_STAR_POINTS, BORDERLINE_STAR_POINTS[[0, 2, 1]]):
+            fw = Framework(Graph(3, ((1, 2), (1, 3))), Configuration(pts))
+            assert check_planar_graphical_condition(fw)
+            tree = min_iwr_spanning_tree(fw)
+            assert tree == fw.graph
+            assert minimal_triple_set(tree, fw.config).triples == ((2, 1, 1), (3, 1, 1), (1, 2, 3))
 
     def test_collinear_star_has_no_extension(self, collinear_star):
         with pytest.raises(NoValidExtensionError):
