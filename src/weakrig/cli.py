@@ -27,10 +27,9 @@ from .errors import (
 )
 from .framework import (
     _edge_weak_rigidity_operator,
-    _require_enough_points,
+    _rank_test,
     _rigidity_operator,
     _weak_rigidity_operator,
-    required_rank,
 )
 from .graphs import spanning_tree
 from .simulate import convergence_rate, integrate, monitor_invariants
@@ -64,19 +63,13 @@ def _cmd_check(args) -> int:
     if args.mode != "rigid":
         triples = (fileio.triples_from_dict(fileio.load_json(args.triples))
                    if args.triples else full_triple_set(fw.graph))
-    # each mode takes the rank of its operator once and compares it to
-    # required_rank, as is_infinitesimally_rigid,
-    # is_infinitesimally_weakly_rigid and check_iwr_via_spanning_tree do
-    _require_enough_points(fw.n, fw.d)
-    if args.mode == "rigid":
-        label, op = "infinitesimally rigid", _rigidity_operator(fw)
-    elif args.mode == "weak":
-        label, op = "IWR", _weak_rigidity_operator(fw, triples)
-    else:  # sufficient test on the BFS spanning tree
-        label = "IWR via spanning tree"
-        op = _edge_weak_rigidity_operator(fw, spanning_tree(fw.graph), triples)
-    req = required_rank(fw.n, fw.d)
-    rank = op.rank(fw.points)
+    label, build = {  # the tree mode is the sufficient test on the BFS spanning tree
+        "rigid": ("infinitesimally rigid", lambda: _rigidity_operator(fw)),
+        "weak": ("IWR", lambda: _weak_rigidity_operator(fw, triples)),
+        "tree": ("IWR via spanning tree", lambda: _edge_weak_rigidity_operator(
+            fw, spanning_tree(fw.graph), triples)),
+    }[args.mode]
+    rank, req = _rank_test(fw, build)  # the library rank tests' one comparison
     ok = rank == req
     note = "; inconclusive for d >= 3" if args.mode == "tree" and not ok else ""
     print(f"{label}: {'yes' if ok else 'no'} (rank {rank}/{req}{note})")
@@ -123,7 +116,8 @@ def _cmd_jacobian(args) -> int:
     if args.search is not None:
         print(f"wrote stabilizing gain to {args.gain_out}")
         return 0
-    evs = ", ".join(f"{e.real:.9g}{e.imag:+.9g}i" if abs(e.imag) > 1e-9
+    tiny = 1e-9 * max(map(abs, report.eigenvalues))  # relative, as in _stable
+    evs = ", ".join(f"{e.real:.9g}{e.imag:+.9g}i" if abs(e.imag) > tiny
                     else f"{e.real:.9g}" for e in report.eigenvalues)
     print(f"eigenvalues: {evs}")
     return 0 if report.verdict is Verdict.STABLE else 1
@@ -136,10 +130,8 @@ def _cmd_simulate(args) -> int:
     summary_path = f"{args.out_prefix}_summary.json"
     try:
         trace = integrate(cfg)
-        diverged = False
-    except DivergenceError as exc:
+    except DivergenceError as exc:  # the trace's termination reads "diverged"
         trace = exc.trace
-        diverged = True
         print(f"diverged: {exc}", file=sys.stderr)
     fileio.write_trace_csv(trace_path, trace)
 
@@ -148,7 +140,7 @@ def _cmd_simulate(args) -> int:
     except FitError:
         slope = None
     inv = monitor_invariants(trace, cfg.controller.law)
-    converged = (not diverged) and trace.termination == "stop_cost"
+    converged = trace.termination == "stop_cost"
     summary = {
         "config": cfg_dict,
         "termination": trace.termination,

@@ -275,10 +275,11 @@ def sort_eigenvalues(ev: np.ndarray) -> np.ndarray:
 
 def _stable(ev: np.ndarray, d: int):
     """Verdicts (...) and tolerances (..., 1) for eigenvalues (..., N): with
-    tol = 1e-6 * max(1, max |lambda|), exactly d(d+1)/2 of them within tol of
-    zero and every other with real part above tol."""
+    tol = 1e-6 * max |lambda|, exactly d(d+1)/2 of them within tol of zero and
+    every other with real part above tol. There is no absolute floor: scaling
+    the Jacobian by s > 0 scales tol with its eigenvalues."""
     mag = np.abs(ev)
-    tol = 1e-6 * np.maximum(1.0, mag.max(axis=-1, initial=0.0, keepdims=True))
+    tol = 1e-6 * mag.max(axis=-1, initial=0.0, keepdims=True)
     near_zero = mag <= tol
     ok = ((np.count_nonzero(near_zero, axis=-1) == d * (d + 1) // 2)
           & np.all(near_zero | (ev.real > tol), axis=-1))
@@ -286,9 +287,9 @@ def _stable(ev: np.ndarray, d: int):
 
 
 def classify_stability(j: np.ndarray, d: int) -> StabilityReport:
-    """Stable: exactly d(d+1)/2 eigenvalues at zero (within tolerance), the
-    rest with positive real part. Unstable: any eigenvalue with real part
-    below -tolerance. Marginal otherwise."""
+    """Stable: exactly d(d+1)/2 eigenvalues at zero, the rest with positive
+    real part. Unstable: any eigenvalue with real part below -tolerance.
+    Marginal otherwise. The tolerance is 1e-6 times the spectral radius."""
     ev = sort_eigenvalues(np.linalg.eigvals(np.asarray(j, dtype=float)))
     stable, tol = _stable(ev, d)
     if stable:

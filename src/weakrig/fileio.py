@@ -46,14 +46,8 @@ def _get(obj: dict, key: str, kind, what: str):
     if key not in obj:
         raise InputError(f"missing field '{key}' ({what})")
     val = obj[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kind is list and isinstance(val, list):
-        return val
-    if kind is str and isinstance(val, str):
-        return val
+    if isinstance(val, (int, float) if kind is float else kind) and not isinstance(val, bool):
+        return float(val) if kind is float else val
     raise InputError(f"field '{key}' must be {what}")
 
 

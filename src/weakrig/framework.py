@@ -452,21 +452,26 @@ def _require_enough_points(n: int, d: int) -> None:
         raise UnsupportedRegimeError(f"need n >= d+1 points (got n={n}, d={d})")
 
 
-def is_infinitesimally_rigid(f: Framework) -> bool:
+def _rank_test(f: Framework, build) -> tuple[int, int]:
+    """(rank of ``build()`` at f's points, required rank); checks n > d first."""
     _require_enough_points(f.n, f.d)
-    return _rigidity_operator(f).rank(f.points) == required_rank(f.n, f.d)
+    return build().rank(f.points), required_rank(f.n, f.d)
+
+
+def is_infinitesimally_rigid(f: Framework) -> bool:
+    rank, req = _rank_test(f, lambda: _rigidity_operator(f))
+    return rank == req
 
 
 def is_infinitesimally_weakly_rigid(f: Framework, t: TripleSet) -> bool:
-    _require_enough_points(f.n, f.d)
-    return _weak_rigidity_operator(f, t).rank(f.points) == required_rank(f.n, f.d)
+    rank, req = _rank_test(f, lambda: _weak_rigidity_operator(f, t))
+    return rank == req
 
 
 def check_iwr_via_spanning_tree(f: Framework, tree: Graph, t: TripleSet) -> bool:
     """Sufficient test via the tree-edge Jacobian; False is inconclusive for d >= 3."""
-    _require_enough_points(f.n, f.d)
-    op = _edge_weak_rigidity_operator(f, tree, t)
-    return op.rank(f.points) == required_rank(f.n, f.d)
+    rank, req = _rank_test(f, lambda: _edge_weak_rigidity_operator(f, tree, t))
+    return rank == req
 
 
 def points_span_full_dimension(c: Configuration) -> bool:

@@ -47,28 +47,36 @@ def _require_same_shape(p: Configuration, q: Configuration) -> None:
         )
 
 
-def congruent(p: Configuration, q: Configuration, tol: float = 1e-8) -> bool:
-    """Equal pairwise distances over all vertex pairs, to tolerance."""
+def congruent(p: Configuration, q: Configuration) -> bool:
+    """Equal pairwise squared distances, to 1e-8 of the largest one in p or q."""
     _require_same_shape(p, q)
-    return float(np.max(np.abs(edm(p) - edm(q)))) <= tol
+    dp, dq = edm(p), edm(q)
+    return float(np.max(np.abs(dp - dq))) <= _congruence_tol(dp, dq)
 
 
-def weakly_congruent(p: Configuration, q: Configuration, tol: float = 1e-8) -> bool:
-    """Equal inner products (p_i-p_j)^T (p_i-p_k) over all vertex triples.
-
-    Equivalent to ``congruent`` on every input; both directions are exercised
-    by the test suite.
-    """
+def weakly_congruent(p: Configuration, q: Configuration) -> bool:
+    """Equal inner products (p_i-p_j)^T (p_i-p_k) over all vertex triples, to the
+    tolerance of ``congruent``. Those with j == k are the squared distances, and
+    the others half a signed sum of three, so the two tests agree except when
+    the distance gap is within a factor 1.5 of the tolerance."""
     _require_same_shape(p, q)
+    return _weak_congruence_gap(p, q) <= _congruence_tol(edm(p), edm(q))
 
-    def slab(g: np.ndarray, i: int) -> np.ndarray:
-        # apex i of the (n, n, n) triple table: [j, k] = g_ii - g_ik - g_ij + g_jk
+
+def _congruence_tol(dp: np.ndarray, dq: np.ndarray) -> float:
+    return 1e-8 * float(max(dp.max(), dq.max()))
+
+
+def _weak_congruence_gap(p: Configuration, q: Configuration) -> float:
+    """Largest entry gap of the (n, n, n) inner-product tables of p and q, one
+    apex slab at a time, from the Gram matrices of the centered points."""
+
+    def slab(g: np.ndarray, i: int) -> np.ndarray:  # [j, k] = g_ii - g_ik - g_ij + g_jk
         return g[i, i] - g[i][None, :] - g[i][:, None] + g
 
-    gp = p.points @ p.points.T
-    gq = q.points @ q.points.T
-    gaps = [np.max(np.abs(slab(gp, i) - slab(gq, i))) for i in range(p.n)]
-    return float(np.max(gaps)) <= tol
+    cp, cq = (c.points - c.points.mean(axis=0) for c in (p, q))
+    gp, gq = cp @ cp.T, cq @ cq.T
+    return float(max(np.max(np.abs(slab(gp, i) - slab(gq, i))) for i in range(p.n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +119,8 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     places the points along the tree from p_1 = origin. The tree edges fix
     every other edge by the cycle law, so all of ``g`` is then certified
     against the rebuilt framework's Gram matrix: an entry off by more than
-    ``PSD_CLAMP_RTOL * max(1, max|g|)`` raises NotRealizableError. The result
-    is congruent to any realization.
+    ``PSD_CLAMP_RTOL * max|g|`` (no floor) raises NotRealizableError. The
+    result is congruent to any realization.
     """
     order, parent = _bfs(graph)
     if order.size < graph.n:
@@ -132,7 +140,7 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     gmin, gmax = float(g.min()), float(g.max())
     if not -np.inf < gmin <= gmax < np.inf:
         raise InputError("Gram matrix must be finite")
-    scale = max(1.0, gmax, -gmin)
+    scale = max(gmax, -gmin)
     block = g[np.ix_(tree, tree)]
     if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
         raise InputError("Gram matrix is not symmetric")

@@ -221,7 +221,7 @@ def reference_gain_search(tgt, trials, seed):
         entries = rng.uniform(-1.5, 1.5, size=(tgt.n, d))
         gain = GainMatrix(tuple(np.diag(row) for row in entries))
         ev = np.linalg.eigvals(jacobian_at_target(tgt, gain))
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(ev))))
+        tol = 1e-6 * float(np.max(np.abs(ev)))
         near_zero = np.abs(ev) <= tol
         if int(near_zero.sum()) == d * (d + 1) // 2 and np.all(ev.real[~near_zero] > tol):
             return gain
@@ -655,8 +655,8 @@ def reference_recover_shape_by_child(g, graph, d):
     rank <= d, factors it (top-d eigenpairs) and places the points along the
     tree from p_1 = origin. The tree edges fix every other edge by the cycle
     law, so all of ``g`` is then certified against the rebuilt framework's
-    Gram matrix: an entry off by more than ``PSD_CLAMP_RTOL * max(1, max|g|)``
-    raises NotRealizableError. The result is congruent to any realization.
+    Gram matrix: an entry off by more than ``PSD_CLAMP_RTOL * max|g|`` raises
+    NotRealizableError. The result is congruent to any realization.
     """
     order, parent = _bfs(graph)
     if order.size < graph.n:
@@ -676,7 +676,7 @@ def reference_recover_shape_by_child(g, graph, d):
     gmin, gmax = float(g.min()), float(g.max())
     if not -np.inf < gmin <= gmax < np.inf:
         raise InputError("Gram matrix must be finite")
-    scale = max(1.0, gmax, -gmin)
+    scale = max(gmax, -gmin)
     block = g[np.ix_(tree, tree)]
     if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
         raise InputError("Gram matrix is not symmetric")

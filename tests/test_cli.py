@@ -209,6 +209,27 @@ class TestTstar:
         assert capsys.readouterr().out == "fails: graph is disconnected\n"
 
 
+    def test_tree_stalls_where_graphical_test_holds(self, tmp_path, capsys):
+        """Collinearity within tolerance is not transitive: edges 2-3 and 2-4
+        each lie 0.9e-9 rad from the line of edge 2-1, so both are collinear
+        with it, but 1.8e-9 rad from each other, so vertex 2 passes the
+        graphical test while no tree edge at 2 is skew to edge 1-2."""
+        a = 0.9e-9
+        obj = {"n": 4, "edges": [[1, 2], [2, 3], [2, 4]], "d": 2,
+               "points": [[-1.0, 0.0], [0.0, 0.0], [np.cos(a), np.sin(a)],
+                          [np.cos(a), -np.sin(a)]]}
+        path, out = tmp_path / "star.json", tmp_path / "tdagger.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "--mode", "graphical"]) == 0
+        assert capsys.readouterr().out == "graphical condition: holds\n"
+        assert main(["tstar", str(path), str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "fails: no admissible edge extends the tree on vertices [1, 2]\n")
+        assert not out.exists()
+        assert main(["check", str(path), "--mode", "weak"]) == 1
+        assert capsys.readouterr().out == "IWR: no (rank 3/5)\n"
+
+
 class TestJacobian:
     def test_identity_gain_unstable(self, target_file, tmp_path, capsys):
         out = tmp_path / "eigs.csv"
@@ -226,6 +247,29 @@ class TestJacobian:
         assert "verdict: Stable" in capsys.readouterr().out
         first = out.read_text().strip().splitlines()[1]
         assert float(first.split(",")[0]) == pytest.approx(48.9899, abs=1e-3)
+
+    @pytest.mark.parametrize("scale", [1e-3, 2.0**-10])
+    def test_designed_gain_stable_at_small_scale(self, gain_file, tmp_path, capsys, scale):
+        target = hexagon_target_dict()
+        target["points"] = (scale * np.array(target["points"])).tolist()
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(target))
+        code = main(["jacobian", str(path), "--gain", gain_file,
+                     "--out", str(tmp_path / "eigs.csv")])
+        assert code == 0
+        assert "verdict: Stable" in capsys.readouterr().out
+
+    def test_complex_pair_prints_at_small_scale(self, gain_file, tmp_path, capsys):
+        """The slow pair 0.105 +- 0.176i, scaled by 4^-20, keeps its imaginary
+        parts: the threshold is relative to the largest eigenvalue."""
+        target = hexagon_target_dict()
+        target["points"] = (2.0**-20 * np.array(target["points"])).tolist()
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(target))
+        assert main(["jacobian", str(path), "--gain", gain_file,
+                     "--out", str(tmp_path / "eigs.csv")]) == 0
+        evs = capsys.readouterr().out.splitlines()[1].split(": ")[1].split(", ")
+        assert evs[7:9] == ["9.58142691e-14+1.59824925e-13i", "9.58142691e-14-1.59824925e-13i"]
 
     def test_search_writes_gain(self, target_file, tmp_path, capsys):
         out = tmp_path / "eigs.csv"

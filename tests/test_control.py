@@ -456,6 +456,16 @@ class TestClassifyStability:
         rep = classify_stability(jacobian_at_target(hexagon_target, designed_gain), 2)
         assert rep.verdict is Verdict.STABLE
 
+    @pytest.mark.parametrize("scale", [1e-3, 2.0**-10])
+    def test_designed_gain_stable_at_small_scale(self, hexagon_graph, hexagon_triples,
+                                                 hexagon_config, designed_gain, scale):
+        """The tolerance follows the spectral radius (here 49 * scale^2) with no
+        absolute floor, so the three zero eigenvalues stay apart from the rest."""
+        tgt = FormationTarget(hexagon_graph, hexagon_triples,
+                              Configuration(scale * hexagon_config.points))
+        rep = classify_stability(jacobian_at_target(tgt, designed_gain), 2)
+        assert rep.verdict is Verdict.STABLE
+
     def test_zero_matrix_marginal(self):
         rep = classify_stability(np.zeros((12, 12)), 2)
         assert rep.verdict is Verdict.MARGINAL

@@ -1,0 +1,139 @@
+"""Property tests: every verdict is the same for a framework and for its copy
+scaled by 2^k, k in [-40, 40]. Such a scaling is exact in floating point and
+every tolerance is relative, with no absolute floor, so nothing may change:
+the graphical test, the rank tests, the tree and the 2n-3 set, shape
+recovery, congruence, the stability classifier and the gain search."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import DESIGNED_GAIN_DIAGS, HEXAGON_EDGES, HEXAGON_POINTS  # noqa: E402
+from helpers import random_connected_graph, same_gain_bits  # noqa: E402
+from weakrig import (  # noqa: E402
+    Configuration,
+    DomainError,
+    FormationTarget,
+    Framework,
+    GainMatrix,
+    Graph,
+    check_iwr_via_spanning_tree,
+    classify_stability,
+    congruent,
+    edge_vector_matrix,
+    full_triple_set,
+    gain_search,
+    is_infinitesimally_rigid,
+    is_infinitesimally_weakly_rigid,
+    jacobian_at_target,
+    min_iwr_spanning_tree,
+    minimal_triple_set,
+    recover_shape,
+    spanning_tree,
+    weakly_congruent,
+)
+from weakrig.triples import _graphical_defects  # noqa: E402
+
+exponents = st.integers(-40, 40)
+
+
+@st.composite
+def frameworks(draw):
+    """A connected graph on 3..9 vertices in R^2 or R^3, with generic points
+    or points within 1e-9 or 1e-6 of a line, where collinearity and rank sit
+    near their tolerances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([2, 2, 3]))
+    n = draw(st.integers(3, 9))
+    graph = random_connected_graph(rng, n, extra_prob=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    thickness = draw(st.sampled_from([None, 1e-9, 1e-6]))
+    if thickness is None:
+        pts = rng.uniform(-1.0, 1.0, (n, d))
+    else:
+        direction = rng.normal(size=d)
+        direction /= np.linalg.norm(direction)
+        pts = np.outer(rng.uniform(-1.0, 1.0, n), direction) + thickness * rng.normal(size=(n, d))
+    return Framework(graph, Configuration(pts))
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _recovery(g, fw):
+    """Whether ``recover_shape`` accepts ``g``, or the type of its error: the
+    error texts quote the scaled gap."""
+    try:
+        recover_shape(g, fw.graph, fw.d)
+        return "realized"
+    except DomainError as exc:
+        return type(exc).__name__
+
+
+def _static_verdicts(fw, s, moved, broken):
+    """Every static verdict on fw scaled by s. ``moved`` is a copy of fw's
+    points to test congruence against; ``broken`` is fw's edge-vector matrix
+    with one vector moved off its cycle, or None."""
+    f = Framework(fw.graph, Configuration(s * fw.points))
+    full = full_triple_set(fw.graph)
+
+    def tree_and_set():
+        tree = min_iwr_spanning_tree(f)
+        return tree.edges, minimal_triple_set(tree, f.config).triples
+
+    e = s * edge_vector_matrix(fw)
+    q = Configuration(s * moved)
+    return (
+        _outcome(_graphical_defects, f),
+        _outcome(is_infinitesimally_rigid, f),
+        _outcome(is_infinitesimally_weakly_rigid, f, full),
+        _outcome(check_iwr_via_spanning_tree, f, spanning_tree(fw.graph), full),
+        _outcome(tree_and_set),
+        _recovery(e.T @ e, f),
+        None if broken is None else _recovery((s * broken).T @ (s * broken), f),
+        congruent(f.config, q),
+        weakly_congruent(f.config, q),
+    )
+
+
+@settings(max_examples=60)
+@given(frameworks(), exponents, st.sampled_from([0.0, 1e-9, 4e-9, 1e-2]), st.data())
+def test_static_verdicts_are_scale_free(fw, k, kick, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    moved = fw.points.copy()
+    moved[int(rng.integers(fw.n))] += kick * rng.normal(size=fw.d)
+    tree = set(spanning_tree(fw.graph).edges)
+    off_tree = [c for c, edge in enumerate(fw.graph.edges) if edge not in tree]
+    broken = None
+    if off_tree:
+        broken = edge_vector_matrix(fw).copy()
+        broken[:, off_tree[0]] += 1e-2 * rng.normal(size=fw.d)
+    assert _static_verdicts(fw, 2.0**k, moved, broken) == _static_verdicts(fw, 1.0, moved, broken)
+
+
+def _hexagon_target(s):
+    return FormationTarget(Graph(6, HEXAGON_EDGES), full_triple_set(Graph(6, HEXAGON_EDGES)),
+                           Configuration(s * HEXAGON_POINTS))
+
+
+@settings(max_examples=20)
+@given(exponents)
+def test_stability_verdicts_are_scale_free(k):
+    designed = GainMatrix(tuple(np.diag(v) for v in DESIGNED_GAIN_DIAGS))
+    for gain, verdict in ((designed, "Stable"), (GainMatrix.identity(6, 2), "Unstable")):
+        rep = classify_stability(jacobian_at_target(_hexagon_target(2.0**k), gain), 2)
+        assert rep.verdict.value == verdict
+
+
+@settings(max_examples=20)
+@given(exponents, st.integers(0, 10**6))
+def test_first_stabilizing_gain_is_scale_free(k, seed):
+    assert same_gain_bits(gain_search(_hexagon_target(1.0), 250, seed),
+                          gain_search(_hexagon_target(2.0**k), 250, seed))

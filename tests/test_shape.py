@@ -21,6 +21,7 @@ from weakrig import (
     shape_distance,
     weakly_congruent,
 )
+from weakrig.shape import _weak_congruence_gap
 
 
 class TestEdm:
@@ -81,16 +82,16 @@ class TestCongruence:
     def test_rigid_transform_is_congruent(self, hexagon_config):
         rng = np.random.default_rng(42)
         moved = rigid_transform(rng, hexagon_config)
-        assert congruent(hexagon_config, moved, tol=1e-8)
+        assert congruent(hexagon_config, moved)
 
     def test_reflection_is_congruent(self, hexagon_config):
         flipped = Configuration(hexagon_config.points @ np.diag([-1.0, 1.0]))
-        assert congruent(hexagon_config, flipped, tol=1e-8)
+        assert congruent(hexagon_config, flipped)
 
     def test_perturbation_breaks_congruence(self, hexagon_config):
         pts = hexagon_config.points.copy()
         pts[0, 0] += 0.1
-        assert not congruent(hexagon_config, Configuration(pts), tol=1e-6)
+        assert not congruent(hexagon_config, Configuration(pts))
 
     def test_shape_mismatch_rejected(self, hexagon_config):
         with pytest.raises(InputError):
@@ -111,9 +112,11 @@ class TestCongruence:
             assert congruent(p, q) == weakly_congruent(p, q)
 
     def test_weakly_congruent_matches_full_triple_table(self):
-        # reference: the (n, n, n) table of (p_i-p_j)^T (p_i-p_k) built in one piece
+        # reference: the (n, n, n) table of (p_i-p_j)^T (p_i-p_k) built in one
+        # piece from the centered points
         def triple_table(c):
-            g = c.points @ c.points.T
+            centered = c.points - c.points.mean(axis=0)
+            g = centered @ centered.T
             diag = np.diag(g)
             return diag[:, None, None] - g[:, None, :] - g[:, :, None] + g[None, :, :]
 
@@ -125,8 +128,27 @@ class TestCongruence:
             q = (rigid_transform(rng, p) if trial % 2
                  else Configuration(p.points + rng.uniform(-1e-3, 1e-3, (n, d))))
             worst = float(np.max(np.abs(triple_table(p) - triple_table(q))))
-            assert weakly_congruent(p, q, tol=worst)
-            assert not weakly_congruent(p, q, tol=float(np.nextafter(worst, -np.inf)))
+            assert _weak_congruence_gap(p, q) == worst
+            tol = 1e-8 * max(edm(p).max(), edm(q).max())
+            assert weakly_congruent(p, q) == (worst <= tol)
+
+    @pytest.mark.parametrize("shift", [1e2, 1e4, 1e6])
+    def test_translation_is_weakly_congruent(self, shift):
+        p = Configuration(np.random.default_rng(47).uniform(-1, 1, (6, 2)))
+        q = Configuration(p.points + shift)
+        assert congruent(p, q)
+        assert weakly_congruent(p, q)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0])
+    def test_tolerance_follows_the_shape_size(self, scale):
+        rng = np.random.default_rng(48)
+        pts = rng.uniform(-1, 1, (6, 2))
+        moved = pts.copy()
+        moved[2] += 0.3
+        p, q = Configuration(scale * pts), Configuration(scale * moved)
+        assert not congruent(p, q)
+        assert not weakly_congruent(p, q)
+        assert congruent(p, p) and weakly_congruent(p, p)
 
     def test_weakly_congruent_memory_is_quadratic(self):
         rng = np.random.default_rng(46)
@@ -265,6 +287,22 @@ class TestRecoverShape:
         g = Graph(3, ((1, 2), (1, 3), (2, 3)))
         with pytest.raises(NotRealizableError, match="cycle law"):
             recover_shape(e @ e.T, g, 2)
+
+    @pytest.mark.parametrize("scale", [1e-6, 2.0**-30])
+    def test_small_triangle_breaking_cycle_law_rejected(self, scale):
+        # the triangle above, scaled: every tolerance scales with max|G|
+        e = scale * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        g = Graph(3, ((1, 2), (1, 3), (2, 3)))
+        with pytest.raises(NotRealizableError, match="cycle law"):
+            recover_shape(e @ e.T, g, 2)
+
+    def test_small_asymmetric_matrix_rejected(self):
+        fw = Framework(Graph(3, ((1, 2), (1, 3))),
+                       Configuration(np.array([[0.0, 0.0], [1e-4, 0.0], [0.0, 1e-4]])))
+        bad = gram(fw)  # diag(1e-8, 1e-8)
+        bad[0, 1] += 5e-13
+        with pytest.raises(InputError, match="symmetric"):
+            recover_shape(bad, fw.graph, 2)
 
     def test_eigh_runs_once_on_tree_block(self, monkeypatch):
         rng = np.random.default_rng(51)
