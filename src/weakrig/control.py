@@ -26,6 +26,7 @@ from .framework import (
     weak_rigidity_matrix,
 )
 from .graphs import Graph
+from .linalg import _dot
 from .triples import full_triple_set
 
 
@@ -222,28 +223,26 @@ class ControlEvaluator:
         # the gradient law scatters through R_w, the non-gradient law through Rbar
         self._op = _ConstraintOperator.on_vertices(tgt.triples, self.n, self.d,
                                                    barred=self._gain is not None)
-        self._row = self._op._row
+        self._row = self._op._row[:, None]
         self._bins = ((self._op._col * self.d)[:, None] + np.arange(self.d)).ravel()
 
     def _velocity_and_negated_residuals(self, pts: np.ndarray):
         """Velocity and -delta; negating delta before the scatter is exact."""
         v = self._op.slots(pts)
         s = self._s
-        neg_delta = self._rstar - np.einsum("ij,ij->i", v[:s], v[s:2 * s])
-        neg_grad = np.bincount(self._bins, (v * neg_delta.take(self._row)[:, None]).ravel(),
+        neg_delta = self._rstar - _dot(v[:s], v[s:2 * s])
+        neg_grad = np.bincount(self._bins, (v * neg_delta[self._row]).ravel(),
                                minlength=self.n * self.d).reshape(self.n, self.d)
         if self._gain is None:
             return neg_grad, neg_delta
-        return np.einsum("nij,nj->ni", self._gain, neg_grad), neg_delta
+        return np.matvec(self._gain, neg_grad), neg_delta
 
     def residuals(self, pts: np.ndarray) -> np.ndarray:
-        v = self._op.slots(pts)
-        s = self._s
-        return np.einsum("ij,ij->i", v[:s], v[s:2 * s]) - self._rstar
+        return -self._velocity_and_negated_residuals(pts)[1]
 
     def cost(self, pts: np.ndarray) -> float:
         delta = self.residuals(pts)
-        return 0.5 * float(delta @ delta)
+        return 0.5 * float(_dot(delta, delta))
 
     def velocity(self, pts: np.ndarray) -> np.ndarray:
         """(n, d) agent velocities at the given positions."""

@@ -28,7 +28,7 @@ def _rank_of(sv, shape):
 
 def _dot(u, v):
     """Dot products over the last axis, each rounded as a 1-D ``u @ v`` is."""
-    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+    return np.vecdot(u, v)
 
 
 @cache

@@ -200,7 +200,7 @@ def reference_velocity_and_residuals(spec, pts):
     scatter_idx = np.concatenate([heads, l1[leg_rows], l2[leg_rows]])
 
     edges = pts[heads] - pts[tails]
-    delta = np.einsum("ij,ij->i", edges[:s], edges[s:]) - rstar
+    delta = np.vecdot(edges[:s], edges[s:]) - rstar
     scaled = edges * np.concatenate([delta, delta])[:, None]
     weights = np.concatenate([scaled, -scaled[leg_sel]])
     grad = np.empty_like(pts)
@@ -208,7 +208,7 @@ def reference_velocity_and_residuals(spec, pts):
         grad[:, axis] = np.bincount(scatter_idx, weights[:, axis], minlength=n)
     if gain is None:
         return -grad, delta
-    return -np.einsum("nij,nj->ni", gain, grad), delta
+    return -np.matvec(gain, grad), delta
 
 
 def reference_gain_search(tgt, trials, seed):

@@ -167,6 +167,23 @@ class TestIntegrate:
         assert len(trace) >= 1
         assert np.all(np.isfinite(trace.positions))
 
+    @pytest.mark.parametrize("law", list(Law))
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
+    def test_far_start_diverges_without_warnings(self, hexagon_target, designed_gain,
+                                                 law, scale):
+        """Squares of the start overflow in the first velocity evaluation;
+        the run still ends in DivergenceError, not a RuntimeWarning, and
+        leaves numpy's error state as it found it."""
+        before = np.geterr()
+        gain = designed_gain if law is Law.NONGRADIENT else None
+        cfg = SimulationConfig(Configuration(hexagon_target.witness.points * scale),
+                               ControllerSpec(law, hexagon_target, gain))
+        with pytest.raises(DivergenceError, match="t = 0.01$") as err:
+            integrate(cfg)
+        assert err.value.trace.termination == "diverged"
+        assert np.all(np.isfinite(err.value.trace.positions))
+        assert np.geterr() == before
+
 
     @pytest.mark.parametrize("case", ["hexagon_nongradient", "triangle_gradient",
                                       "random_3d_gradient"])

@@ -2,7 +2,9 @@
 collinearity test, spanning tree and 2n-3 construction against the per-edge,
 per-triple and per-pair reference loops in helpers.py, on generated graphs
 with 1..30 vertices (isolated vertices and edgeless graphs included), and on
-dense graphs with up to 100 vertices."""
+dense graphs with up to 100 vertices. The stacked dot products behind the
+collinearity test and the closed-loop residuals are checked against 1-D
+``u @ v`` bit for bit."""
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from weakrig import (  # noqa: E402
 )
 from weakrig import triples as triples_module  # noqa: E402
 from weakrig.graphs import _bfs  # noqa: E402
+from weakrig.linalg import _dot  # noqa: E402
 
 
 def _outcome(fn, *args):
@@ -274,6 +277,22 @@ def test_stacked_collinearity_matches_scalar(pair):
     if u.shape[0] % 2 == 0:
         shape = (2, u.shape[0] // 2, u.shape[1])
         assert are_collinear(u.reshape(shape), v.reshape(shape)).ravel().tolist() == expected
+
+
+@given(st.integers(1, 100),
+       st.one_of(st.just(()), st.tuples(st.integers(1, 20)),
+                 st.tuples(st.integers(1, 6), st.integers(1, 6))), st.data())
+def test_stacked_dot_rounds_as_1d_matmul(length, lead, data):
+    """Each dot product over the last axis is the float a 1-D ``u @ v``
+    gives, for any stack shape; the magnitudes span 2^±30 so the summation
+    order shows in the last bits."""
+    rng = _rng(data.draw)
+    u, v = rng.standard_normal((2,) + lead + (length,)) \
+        * np.exp2(rng.integers(-30, 31, (2,) + lead + (length,)))
+    got = _dot(u, v)
+    expected = [a @ b for a, b in zip(u.reshape(-1, length), v.reshape(-1, length))]
+    assert np.shape(got) == lead
+    assert np.asarray(got).ravel().tobytes() == np.array(expected).tobytes()
 
 
 def _pairs_at_angles(rng, d, theta):
