@@ -175,7 +175,7 @@ class _ConstraintOperator:
     The row of triple (i, j, k) reads e1 = p_i - p_j and e2 = p_i - p_k. Each
     slot adds sign * e1 or sign * e2 to one column block of one row. Slots are
     grouped by kind in the order apex·e1, apex·e2, leg j·(-e2), leg k·(-e1).
-    ``np.bincount`` adds in input order, so this order fixes the rounding of
+    ``np.add.at`` adds in input order, so this order fixes the rounding of
     every sum.
 
     A slot with sign -1 reads its edge with head and tail swapped, which is
@@ -231,7 +231,7 @@ class _ConstraintOperator:
         """The (s, ncols*d) matrix at the (n, d) points."""
         width = self.ncols * self.d
         cells = (self._row * self.ncols + self._col) * self.d
-        return _scatter_add(cells, self.slots(pts), self.s * width).reshape(self.s, width)
+        return _scatter_add(cells, self.slots(pts), np.zeros(self.s * width)).reshape(self.s, width)
 
     def reduced(self, pts: np.ndarray) -> np.ndarray:
         """A short matrix with the singular values of ``dense(pts)``.
@@ -239,27 +239,49 @@ class _ConstraintOperator:
         The rows of one apex touch only its local columns, the distinct
         columns of its slots, and form its block. A block taller than wide is
         replaced by its R factor: orthogonal row transforms keep the singular
-        values. Such blocks are stacked by width, zero-padded to the tallest
-        (zero rows add no singular value), and each stack takes one QR; the R
-        rows are then scattered back to the global columns. Other blocks pass
-        through unchanged. Every slot lands in the order ``dense`` adds it, so
-        every cell is the same sum; with no tall block, the result is
-        ``dense(pts)`` bit for bit.
+        values. The rows of the other blocks pass through first, in row
+        order; then come the R factors in apex order, one QR per tall block,
+        each written onto its block's global columns. Every slot lands in the
+        order ``dense`` adds it, so every cell is the same sum; with no tall
+        block, the result is ``dense(pts)`` bit for bit.
         """
-        width = self.ncols * self.d
-        lay, k = _ApexBlocks(self), self._row.size
+        d, k, width = self.d, self._row.size, self.ncols * self.d
+        key = self._apex[self._row] * self.ncols + self._col
+        run = np.diff(key, prepend=-1) != 0  # slots repeat keys in runs: one per run
+        keys, key = np.unique(key[run], return_inverse=True)
+        key = key[np.cumsum(run) - 1]  # each slot's index among the keys
+        key_apex, key_col = np.divmod(keys, self.ncols)
+        first = np.flatnonzero(np.diff(key_apex, prepend=-1))  # first key of each block
+        cols = np.diff(np.r_[first, keys.size])
+        row_block = np.searchsorted(key_apex[first], self._apex)
+        height = np.bincount(row_block, minlength=first.size)
+        tall = height > cols * d
+        # group 0 passes through; tall block b is group b + 1
+        group = np.where(tall[row_block], row_block + 1, 0)
+        place = _rank_in_group(group)  # in its block, or among the rows passing through
+        # a slot adds at its global column when passing through, else at its local one
+        base = np.where(tall[row_block], place * cols[row_block] - first[row_block],
+                        place * self.ncols)
+        slot_group = group[self._row]
+        cells = (base[self._row] + np.where(slot_group > 0, key, self._col)) * d
+        order = np.argsort(slot_group, kind="stable")
+        ends = np.r_[0, np.cumsum(np.bincount(slot_group, minlength=first.size + 1))].tolist()
+        head, tail = self._idx[:k], self._idx[k:]
 
-        def scatter(slots, size):
-            sel = lay.order[slots]
-            vals = pts.take(self._idx[sel], axis=0) - pts.take(self._idx[k + sel], axis=0)
-            return _scatter_add(lay.cells[slots], vals, size)
+        def scatter(g, flat):  # adds the slots of group g, in slot order
+            sel = order[ends[g]:ends[g + 1]]
+            vals = pts.take(head[sel], axis=0) - pts.take(tail[sel], axis=0)
+            return _scatter_add(cells[sel], vals, flat)
 
-        out = scatter(lay.direct, lay.rows * width).reshape(lay.rows, width)
-        for slots, shape, cols, start in lay.stacks:
-            v, h, w = shape
-            r = np.linalg.qr(scatter(slots, v * h * w).reshape(shape), mode="r")
-            dest = out[start:start + v * w].reshape(v, w, width)
-            np.put_along_axis(dest, np.broadcast_to(cols, r.shape), r, axis=2)
+        top = int(np.count_nonzero(group == 0))  # the first row below those passing through
+        out = np.zeros((top + int(cols[tall].sum()) * d, width))
+        scatter(0, out.reshape(-1))
+        at = (key_col[:, None] * d + np.arange(d)).ravel()  # global column of key coordinates
+        for b in np.flatnonzero(tall).tolist():
+            h, w, c = int(height[b]), int(cols[b]) * d, int(first[b]) * d
+            out[top:top + w, at[c:c + w]] = np.linalg.qr(
+                scatter(b + 1, np.zeros(h * w)).reshape(h, w), mode="r")
+            top += w
         return out
 
     def rank(self, pts: np.ndarray) -> int:
@@ -269,71 +291,11 @@ class _ConstraintOperator:
         return int(_rank_of(sv, (self.s, self.ncols * self.d)))
 
 
-class _ApexBlocks:
-    """Where each slot of an operator lands in ``reduced``.
-
-    A block is the rows of one apex over its local columns. A block with more
-    rows than columns is tall and goes to the stack of its width; the rows of
-    the other blocks pass through to the top of the reduced matrix, in row
-    order. Slots are taken in ``order``: those passing through (``direct``)
-    first, then stack by stack, each group in slot order. Sorted slot k adds
-    to flat cell ``cells[k] + coordinate`` of the reduced matrix or of its
-    stack. Each entry of ``stacks`` holds its slice of the sorted slots, the
-    stack shape (blocks, rows, width*d), the global column of each block
-    column, and the first reduced row of its R factors.
-    """
-
-    def __init__(self, op: _ConstraintOperator):
-        d = op.d
-        slot_key = op._apex[op._row] * op.ncols + op._col  # then its index among keys
-        run = np.diff(slot_key, prepend=-1) != 0  # slots repeat keys in runs: one per run
-        keys, slot_key = np.unique(slot_key[run], return_inverse=True)
-        slot_key = slot_key[np.cumsum(run) - 1]
-        key_apex, global_col = np.divmod(keys, op.ncols)
-        first = np.flatnonzero(np.diff(key_apex, prepend=-1))  # first key of each block
-        width = np.diff(np.r_[first, keys.size])
-        key_block = np.repeat(np.arange(first.size), width)
-        local_col = np.arange(keys.size) - first[key_block]
-        slot_block = key_block[slot_key]
-        row_block = np.searchsorted(key_apex[first], op._apex)
-        height = np.bincount(row_block, minlength=first.size)
-        tall = height > width * d
-        # stack key 0 gathers the blocks passing through, so they sort first
-        widths, block_stack = np.unique(np.where(tall, width, 0), return_inverse=True)
-        tallest = np.zeros(widths.size, dtype=np.int64)
-        np.maximum.at(tallest, block_stack, height)
-        row_pos = _rank_in_group(np.where(tall[row_block], row_block, first.size))
-
-        slot_stack = block_stack[slot_block]
-        slot_row = row_pos[op._row]
-        in_stack = ((_rank_in_group(block_stack)[slot_block] * tallest[slot_stack] + slot_row)
-                    * widths[slot_stack] + local_col[slot_key])
-        in_reduced = slot_row * op.ncols + op._col
-        self.order = np.argsort(slot_stack, kind="stable")
-        self.cells = np.where(tall[slot_block], in_stack, in_reduced)[self.order] * d
-
-        bounds = np.r_[0, np.cumsum(np.bincount(slot_stack, minlength=widths.size))].tolist()
-        passing = int(widths.size > 0 and widths[0] == 0)
-        self.direct = slice(0, bounds[passing])
-        self.rows = op.s - int(height[tall].sum())
-        self.stacks = []
-        for c in range(passing, widths.size):
-            w = int(widths[c])
-            blocks = np.flatnonzero(block_stack == c)
-            cols = global_col[first[blocks, None] + np.arange(w)][:, :, None] * d + np.arange(d)
-            self.stacks.append((slice(bounds[c], bounds[c + 1]),
-                                (blocks.size, int(tallest[c]), w * d),
-                                cols.reshape(blocks.size, 1, w * d), self.rows))
-            self.rows += blocks.size * w * d
-
-
-def _scatter_add(cells: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """A float vector of ``size`` with each (K, d) ``vals`` row added, in row
-    order, at flat cells ``cells[k] + coordinate``."""
-    if not cells.size:  # np.bincount would ignore the weights and give integers
-        return np.zeros(size)
-    flat = cells[:, None] + np.arange(vals.shape[1])
-    return np.bincount(flat.ravel(), vals.ravel(), minlength=size)
+def _scatter_add(cells: np.ndarray, vals: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``flat``, a float vector, with each (K, d) ``vals`` row added in row
+    order at cells ``cells[k] + coordinate``."""
+    np.add.at(flat, (cells[:, None] + np.arange(vals.shape[1])).ravel(), vals.ravel())
+    return flat
 
 
 def _rank_in_group(group: np.ndarray) -> np.ndarray:

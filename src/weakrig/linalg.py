@@ -43,10 +43,13 @@ def are_collinear(u, v):
     ``|u ^ v|`` is the hypot of the 2x2 minors ``u_a v_b - u_b v_a`` (a < b).
     Swapping u and v negates each minor exactly, so the verdict is symmetric,
     and a zero vector is collinear with anything. Stacks of shape (..., d) are
-    tested pair by pair and give a bool array; a pair of 1-D vectors gives a bool.
+    tested pair by pair and give a bool array; a pair of 1-D vectors gives a
+    bool. Each of u and v is first scaled by the power of two that brings its
+    largest |entry| into [0.5, 1): that is exact, so it changes no verdict,
+    and no product or norm below can overflow or underflow.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = (np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
+            for x in (np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
     a, b = _minor_axes(u.shape[-1])
     wedge = np.hypot.reduce(u[..., a] * v[..., b] - u[..., b] * v[..., a], axis=-1, initial=0.0)
     ok = wedge <= COLLINEAR_RTOL * (np.sqrt(_dot(u, u)) * np.sqrt(_dot(v, v)))

@@ -143,35 +143,23 @@ def integrate(cfg: SimulationConfig) -> SimulationTrace:
     # the start, every record_every-th step, and a last step or stop between them
     rec = _Recorder(cfg.controller.target.graph._ends, n_steps // cfg.record_every + 2)
     pts = cfg.initial.points.copy()
-
-    # the velocity at the current state doubles as the next step's first stage
-    vel, delta = ev.velocity_and_residuals(pts)
-    cost = 0.5 * float(delta @ delta)
-    rec.add(0.0, pts, delta, cost)
-    if cost < cfg.stop_cost:
-        return rec.build("stop_cost")
-
-    termination = "t_max"
-    for step in range(1, n_steps + 1):
-        k1 = vel
-        k2 = velocity(pts + half * k1)
-        k3 = velocity(pts + half * k2)
-        k4 = velocity(pts + h * k3)
-        pts = pts + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * h
-        if not np.isfinite(pts).all():
-            raise DivergenceError(
-                f"state became non-finite at t = {t:.6g}", rec.build("diverged")
-            )
+    for step in range(n_steps + 1):
+        # the velocity at the current state doubles as the next step's first stage
         vel, delta = ev.velocity_and_residuals(pts)
         cost = 0.5 * float(delta @ delta)
         stop = cost < cfg.stop_cost
         if stop or step % cfg.record_every == 0 or step == n_steps:
-            rec.add(t, pts, delta, cost)
-        if stop:
-            termination = "stop_cost"
-            break
-    return rec.build(termination)
+            rec.add(step * h, pts, delta, cost)
+        if stop or step == n_steps:
+            return rec.build("stop_cost" if stop else "t_max")
+        k2 = velocity(pts + half * vel)
+        k3 = velocity(pts + half * k2)
+        k4 = velocity(pts + h * k3)
+        pts = pts + sixth * (vel + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(pts).all():
+            raise DivergenceError(
+                f"state became non-finite at t = {(step + 1) * h:.6g}", rec.build("diverged")
+            )
 
 
 def convergence_rate(trace: SimulationTrace, window: int) -> float:

@@ -412,8 +412,8 @@ class TestRankTests:
     def test_weak_rank_memory_is_bounded(self):
         """Dense n=70, s = 18,183: R_w alone would take s*n*d*8 = 20.4 MB, and
         the rank test peaked at 25.0 MB while it formed R_w. Holding the
-        operator, its block layout and the reduced matrix, it peaks at 9.9 MB,
-        below half of R_w."""
+        operator, the cells and vectors of its slots and the reduced matrix,
+        it peaks at 9.6 MB, below half of R_w."""
         rng = np.random.default_rng(17)
         fw = random_framework(rng, 70, 2, graph=random_connected_graph(rng, 70, 0.3))
         full = full_triple_set(fw.graph)

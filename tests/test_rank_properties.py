@@ -1,7 +1,7 @@
 """Property tests: the apex-blocked rank of every constraint operator against
 the dense reference ``numerical_rank(op.dense(pts))`` in helpers.py, on
 generated connected graphs in d = 1, 2, 3 (full, subset, distance and
-tree-edge sets), plus the edge cases the tolerance and the block layout
+tree-edge sets), plus the edge cases the tolerance and the apex blocks
 meet: no rows, coincident points, vertices that are apex of no row, and stars
 whose leaves sit within 1e-7..1e-10 of a line."""
 
@@ -22,15 +22,13 @@ from weakrig import (  # noqa: E402
     full_triple_set,
     is_infinitesimally_rigid,
     is_infinitesimally_weakly_rigid,
+    min_iwr_spanning_tree,
+    minimal_triple_set,
     required_rank,
     restrict_triples_to_tree,
     spanning_tree,
 )
-from weakrig.framework import (  # noqa: E402
-    _ApexBlocks,
-    _ConstraintOperator,
-    _rigidity_operator,
-)
+from weakrig.framework import _ConstraintOperator, _rigidity_operator  # noqa: E402
 
 SV_RTOL = 1e-13
 
@@ -106,9 +104,9 @@ def test_reduced_is_dense_when_no_block_is_tall(fw, data):
     order, so ``reduced`` is ``dense`` bit for bit. Distance-only operators
     never have a tall block: each row has a leg of its own."""
     ops = _operators(fw, _rng(data.draw))
-    assert _ApexBlocks(ops["distance"]).stacks == []
+    assert ops["distance"].reduced(fw.points).shape[0] == ops["distance"].s
     for op in ops.values():
-        if not _ApexBlocks(op).stacks:
+        if op.reduced(fw.points).shape[0] == op.s:
             assert op.reduced(fw.points).tobytes() == op.dense(fw.points).tobytes()
 
 
@@ -126,6 +124,51 @@ def test_rank_tests_match_dense_reference(fw, data):
     tree = spanning_tree(fw.graph)
     assert check_iwr_via_spanning_tree(fw, tree, full_triple_set(fw.graph)) \
         == (reference_rank(ops["tree full"], fw.points) == req)
+
+
+def _tall_apexes(op):
+    """Apexes whose rows outnumber d times their local columns, counted row
+    by row."""
+    rows, cols = {}, {}
+    for r, c in zip(op._row.tolist(), op._col.tolist()):
+        apex = int(op._apex[r])
+        rows.setdefault(apex, set()).add(r)
+        cols.setdefault(apex, set()).add(c)
+    return sum(len(rows[a]) > op.d * len(cols[a]) for a in rows)
+
+
+def _qr_calls(op, pts):
+    calls = []
+    qr = np.linalg.qr
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+        op.reduced(pts)
+    return len(calls)
+
+
+@given(frameworks(), st.data())
+def test_one_qr_per_tall_apex(fw, data):
+    for name, op in _operators(fw, _rng(data.draw)).items():
+        assert _qr_calls(op, fw.points) == _tall_apexes(op)
+        if name == "distance":
+            assert _tall_apexes(op) == 0
+
+
+def test_qr_calls_on_fixtures(hexagon_framework, hexagon_triples):
+    """The hexagon's sets have no tall apex, so they take no QR; the centre
+    of a 30-leaf star is the one tall apex of its full set."""
+    fw = hexagon_framework
+    tree = spanning_tree(fw.graph)
+    tdag = minimal_triple_set(min_iwr_spanning_tree(fw), fw.config)
+    for op in (_rigidity_operator(fw),
+               _ConstraintOperator.on_vertices(hexagon_triples, fw.n, fw.d),
+               _ConstraintOperator.on_vertices(tdag, fw.n, fw.d),
+               _ConstraintOperator.on_tree_edges(
+                   restrict_triples_to_tree(tree, hexagon_triples), tree, fw.d)):
+        assert _qr_calls(op, fw.points) == 0
+    star = Graph(31, tuple((1, j) for j in range(2, 32)))
+    pts = np.random.default_rng(31).uniform(-1.0, 1.0, (31, 2))
+    assert _qr_calls(_ConstraintOperator.on_vertices(full_triple_set(star), 31, 2), pts) == 1
 
 
 def test_no_rows():

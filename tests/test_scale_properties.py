@@ -2,7 +2,9 @@
 scaled by 2^k, k in [-40, 40]. Such a scaling is exact in floating point and
 every tolerance is relative, with no absolute floor, so nothing may change:
 the graphical test, the rank tests, the tree and the 2n-3 set, shape
-recovery, congruence, the stability classifier and the gain search."""
+recovery, congruence, the stability classifier and the gain search. The
+collinearity verdicts (graphical test, tree, 2n-3 set) hold still over
+k in [-1000, 1000], near both ends of the float range."""
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from weakrig import (  # noqa: E402
     Framework,
     GainMatrix,
     Graph,
+    are_collinear,
     check_iwr_via_spanning_tree,
     classify_stability,
     congruent,
@@ -77,17 +80,17 @@ def _recovery(g, fw):
         return type(exc).__name__
 
 
+def _tree_and_set(f):
+    tree = min_iwr_spanning_tree(f)
+    return tree.edges, minimal_triple_set(tree, f.config).triples
+
+
 def _static_verdicts(fw, s, moved, broken):
     """Every static verdict on fw scaled by s. ``moved`` is a copy of fw's
     points to test congruence against; ``broken`` is fw's edge-vector matrix
     with one vector moved off its cycle, or None."""
     f = Framework(fw.graph, Configuration(s * fw.points))
     full = full_triple_set(fw.graph)
-
-    def tree_and_set():
-        tree = min_iwr_spanning_tree(f)
-        return tree.edges, minimal_triple_set(tree, f.config).triples
-
     e = s * edge_vector_matrix(fw)
     q = Configuration(s * moved)
     return (
@@ -95,7 +98,7 @@ def _static_verdicts(fw, s, moved, broken):
         _outcome(is_infinitesimally_rigid, f),
         _outcome(is_infinitesimally_weakly_rigid, f, full),
         _outcome(check_iwr_via_spanning_tree, f, spanning_tree(fw.graph), full),
-        _outcome(tree_and_set),
+        _outcome(_tree_and_set, f),
         _recovery(e.T @ e, f),
         None if broken is None else _recovery((s * broken).T @ (s * broken), f),
         congruent(f.config, q),
@@ -116,6 +119,30 @@ def test_static_verdicts_are_scale_free(fw, k, kick, data):
         broken = edge_vector_matrix(fw).copy()
         broken[:, off_tree[0]] += 1e-2 * rng.normal(size=fw.d)
     assert _static_verdicts(fw, 2.0**k, moved, broken) == _static_verdicts(fw, 1.0, moved, broken)
+
+
+def _collinearity_verdicts(fw, s):
+    f = Framework(fw.graph, Configuration(s * fw.points))
+    return _outcome(_graphical_defects, f), _outcome(_tree_and_set, f)
+
+
+@settings(max_examples=60)
+@given(frameworks(), st.integers(-1000, 1000))
+def test_collinearity_verdicts_are_scale_free_over_the_float_range(fw, k):
+    assert _collinearity_verdicts(fw, 2.0**k) == _collinearity_verdicts(fw, 1.0)
+
+
+@pytest.mark.parametrize("length", [1e-170, 1e160])
+def test_collinearity_at_the_ends_of_the_float_range(length):
+    """sqrt(u.u) underflows at length 1e-170, where perpendicular vectors
+    used to read collinear, and overflows at 1e160, where the test used to
+    raise an overflow warning."""
+    e1, e2 = np.array([length, 0.0]), np.array([0.0, length])
+    assert not are_collinear(e1, e2)
+    assert are_collinear(e1, -3.0 * e1)
+    right_angle = Framework(Graph(3, ((1, 2), (1, 3))),
+                            Configuration(length * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])))
+    assert _graphical_defects(right_angle) == []
 
 
 def _hexagon_target(s):
