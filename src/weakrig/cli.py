@@ -2,6 +2,9 @@
 
 Exit codes are a stable contract: 0 when the checked property holds or the
 run converged, 1 on a negative result, 2 on input errors.
+
+``jacobian`` and ``simulate`` import control and simulate when they run, so
+``check`` and ``tstar`` start without loading either.
 """
 
 from __future__ import annotations
@@ -10,13 +13,6 @@ import argparse
 import sys
 
 from . import fileio
-from .control import (
-    GainMatrix,
-    Verdict,
-    classify_stability,
-    gain_search,
-    jacobian_at_target,
-)
 from .errors import (
     ConstructionError,
     DivergenceError,
@@ -32,7 +28,6 @@ from .framework import (
     _weak_rigidity_operator,
 )
 from .graphs import spanning_tree
-from .simulate import convergence_rate, integrate, monitor_invariants
 from .triples import (
     _graphical_defects,
     full_triple_set,
@@ -95,6 +90,8 @@ def _cmd_tstar(args) -> int:
 
 
 def _cmd_jacobian(args) -> int:
+    from .control import GainMatrix, Verdict, classify_stability, gain_search, jacobian_at_target
+
     tgt = fileio.target_from_dict(fileio.load_json(args.target))
 
     if args.search is not None:
@@ -124,6 +121,8 @@ def _cmd_jacobian(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import convergence_rate, integrate, monitor_invariants
+
     cfg_dict = fileio.load_json(args.config)
     cfg = fileio.simulation_config_from_dict(cfg_dict)
     trace_path = f"{args.out_prefix}_trace.csv"

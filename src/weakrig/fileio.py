@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .control import ControllerSpec, FormationTarget, GainMatrix, Law
 from .errors import InputError
 from .framework import Configuration, Framework, TripleSet
 from .graphs import Graph
-from .simulate import SimulationConfig, SimulationTrace
+
+if TYPE_CHECKING:  # the readers import these when they build them
+    from .control import FormationTarget, GainMatrix
+    from .simulate import SimulationConfig, SimulationTrace
 
 _AXES = "xyz"
 
@@ -88,6 +91,8 @@ def triples_to_dict(t: TripleSet) -> dict:
 
 
 def gain_from_dict(obj: dict) -> GainMatrix:
+    from .control import GainMatrix
+
     blocks = _get(obj, "blocks", list, "a list of d x d matrices, one per agent")
     try:
         return GainMatrix(tuple(np.array(b, dtype=float) for b in blocks))
@@ -100,12 +105,17 @@ def gain_to_dict(k: GainMatrix) -> dict:
 
 
 def target_from_dict(obj: dict) -> FormationTarget:
+    from .control import FormationTarget
+
     fw = framework_from_dict(obj)
     trips = triples_from_dict(obj)
     return FormationTarget(fw.graph, trips, fw.config)
 
 
 def simulation_config_from_dict(obj: dict) -> SimulationConfig:
+    from .control import ControllerSpec, Law
+    from .simulate import SimulationConfig
+
     if not isinstance(obj.get("target"), dict):
         raise InputError("missing field 'target' (framework plus triples)")
     target = target_from_dict(obj["target"])

@@ -437,7 +437,8 @@ def check_iwr_via_spanning_tree(f: Framework, tree: Graph, t: TripleSet) -> bool
 
 
 def points_span_full_dimension(c: Configuration) -> bool:
-    """True iff the points do not lie in a hyperplane of R^d."""
+    """True iff the points do not lie in a hyperplane of R^d: the centered
+    points P - mean(P) have rank d. Scaling the points scales that matrix,
+    so the verdict is scale-free."""
     _require_enough_points(c.n, c.d)
-    m = np.hstack([np.ones((c.n, 1)), c.points])
-    return numerical_rank(m) == c.d + 1
+    return numerical_rank(c.points - c.points.mean(axis=0)) == c.d

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakrig
 from conftest import BORDERLINE_STAR_POINTS
 from test_fileio import gain_dict, hexagon_framework_dict, hexagon_target_dict
 from weakrig.cli import main
@@ -431,9 +433,98 @@ class TestModuleEntryPoint:
 
     def test_numpy_is_the_only_runtime_dependency(self):
         """Importing the package and its CLI loads none of the test extras."""
-        code = ("import sys, weakrig, weakrig.cli; print(' '.join(sorted(m for m in "
-                "('scipy', 'sympy', 'networkx', 'hypothesis', 'pytest') if m in sys.modules)))")
+        code = ("import sys, weakrig.cli, weakrig.shape, weakrig.simulate; print(' '.join("
+                "sorted(m for m in ('scipy', 'sympy', 'networkx', 'hypothesis', 'pytest') "
+                "if m in sys.modules)))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=_src_env())
         assert run.returncode == 0, run.stderr
         assert run.stdout == "\n"
+
+
+# The package's public names, as ``from weakrig import *`` gives them.
+PUBLIC_NAMES = frozenset("""
+Alignment Configuration ConstructionError ControlEvaluator ControllerSpec
+DegenerateConfigurationError DivergenceError DomainError FitError FormationTarget
+Framework GainMatrix Graph InputError InvariantReport Law NoValidExtensionError
+NotRealizableError SimulationConfig SimulationTrace StabilityReport TripleSet
+UnsupportedDimensionError UnsupportedRegimeError Verdict align are_collinear
+barred_weak_rigidity_matrix build_formation_triples check_iwr_via_spanning_tree
+check_planar_graphical_condition classify_stability collinearity_defects congruent
+control convergence_rate distance_triple edge_vector_matrix edge_weak_rigidity_matrix
+edm errors framework full_triple_set gain_search gradient_control gram graphs
+incidence integrate is_connected is_infinitesimally_rigid
+is_infinitesimally_weakly_rigid jacobian_at_target linalg local_cost
+min_iwr_spanning_tree minimal_triple_set monitor_invariants neighbors
+nongradient_control numerical_rank points_span_full_dimension recover_shape
+required_rank residuals restrict_triples_to_tree rigidity_function rigidity_matrix
+shape shape_distance simulate sort_eigenvalues spanning_tree total_cost triples
+trivial_motion_basis weak_rigidity_function weak_rigidity_matrix weakly_congruent
+""".split())
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+# Runs the CLI on argv and prints, as its last line, the weakrig submodules loaded.
+LOADED_AFTER_MAIN = (
+    "import sys\nfrom weakrig.cli import main\ncode = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m[8:] for m in sys.modules if m.startswith('weakrig.'))))\n"
+    "sys.exit(code)")
+
+
+class TestLazyLoading:
+    def test_bare_import_loads_no_submodule(self):
+        code = ("import sys, weakrig; print(sorted(m for m in sys.modules if "
+                "m.startswith('weakrig.'))); print(sorted(n for n in dir(weakrig) "
+                "if not n.startswith('_')))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=_src_env())
+        assert run.returncode == 0, run.stderr
+        loaded, listed = run.stdout.splitlines()
+        assert loaded == "[]"
+        assert listed == str(sorted(PUBLIC_NAMES))
+
+    @pytest.mark.parametrize("argv, code, unused", [
+        *((f"check hexagon.json --mode {mode}", code, "control simulate shape")
+          for mode, code in (("weak", 0), ("rigid", 1), ("graphical", 0), ("tree", 0))),
+        ("check hexagon.json --triples hexagon_target.json", 0, "control simulate shape"),
+        ("tstar hexagon.json {tmp}/tdag.json", 0, "control simulate shape"),
+        ("jacobian hexagon_target.json --gain gain.json --out {tmp}/ev.csv", 0,
+         "simulate shape"),
+        ("jacobian hexagon_target.json --search 20 --out {tmp}/ev.csv "
+         "--gain-out {tmp}/gain.json", 1, "simulate shape"),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, code, unused):
+        """Run in the fixtures directory; outputs go to a temporary one."""
+        argv = [a.format(tmp=tmp_path) for a in argv.split()]
+        run = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
+                             capture_output=True, text=True, env=_src_env(), cwd=FIXTURES)
+        assert run.returncode == code, run.stderr
+        loaded = set(run.stdout.splitlines()[-1].split())
+        assert {"cli", "fileio"} <= loaded
+        assert not loaded & set(unused.split())
+
+    def test_names_are_their_modules_objects(self):
+        for name in PUBLIC_NAMES:
+            obj = getattr(weakrig, name)
+            if isinstance(obj, types.ModuleType):
+                assert obj is sys.modules[f"weakrig.{name}"]
+            else:
+                assert obj is getattr(sys.modules[obj.__module__], name)
+                assert obj.__module__.startswith("weakrig.")
+
+    def test_star_import_lists_the_public_names(self):
+        namespace = {}
+        exec("from weakrig import *", namespace)
+        assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            weakrig.no_such_name  # noqa: B018
+
+    def test_monkeypatched_submodule_shows_through(self, monkeypatch):
+        def patched(cfg):
+            return cfg
+
+        monkeypatch.setattr(weakrig.simulate, "integrate", patched)
+        assert weakrig.integrate is patched
+        monkeypatch.undo()
+        assert weakrig.integrate is weakrig.simulate.integrate
+        assert weakrig.integrate is not patched

@@ -4,7 +4,8 @@ every tolerance is relative, with no absolute floor, so nothing may change:
 the graphical test, the rank tests, the tree and the 2n-3 set, shape
 recovery, congruence, the stability classifier and the gain search. The
 collinearity verdicts (graphical test, tree, 2n-3 set) hold still over
-k in [-1000, 1000], near both ends of the float range."""
+k in [-1000, 1000], near both ends of the float range, and the full-span
+test over k in [-600, 600]."""
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from weakrig import (  # noqa: E402
     jacobian_at_target,
     min_iwr_spanning_tree,
     minimal_triple_set,
+    points_span_full_dimension,
     recover_shape,
     spanning_tree,
     weakly_congruent,
@@ -130,6 +132,24 @@ def _collinearity_verdicts(fw, s):
 @given(frameworks(), st.integers(-1000, 1000))
 def test_collinearity_verdicts_are_scale_free_over_the_float_range(fw, k):
     assert _collinearity_verdicts(fw, 2.0**k) == _collinearity_verdicts(fw, 1.0)
+
+
+def _spans(fw, s):
+    return _outcome(points_span_full_dimension, Configuration(s * fw.points))
+
+
+@settings(max_examples=60)
+@given(frameworks(), st.integers(-600, 600))
+def test_full_span_is_scale_free(fw, k):
+    assert _spans(fw, 2.0**k) == _spans(fw, 1.0)
+
+
+@pytest.mark.parametrize("k", [-30, -20, 20, 34])
+def test_full_span_holds_for_scaled_generic_points(k):
+    """Ranking [1 | P], whose column of ones does not scale, read these six
+    points as spanning at 2^+-20 but not at 2^34 or 2^-30."""
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 2))
+    assert points_span_full_dimension(Configuration(2.0**k * pts))
 
 
 @pytest.mark.parametrize("length", [1e-170, 1e160])

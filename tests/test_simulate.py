@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -159,13 +160,21 @@ class TestIntegrate:
     def test_divergence_carries_partial_trace(self, hexagon_target):
         bad_gain = GainMatrix(tuple(-5.0 * np.eye(2) for _ in range(6)))
         cfg = hexagon_run_config(hexagon_target, bad_gain, seed=5, t_max=50.0)
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError, match="^state became non-finite at t = 0.04$") as err:
             integrate(cfg)
         trace = err.value.trace
         assert trace is not None
         assert trace.termination == "diverged"
         assert len(trace) >= 1
         assert np.all(np.isfinite(trace.positions))
+        # every field of the partial trace, byte for byte: only the start is
+        # recorded before the state leaves the floats
+        digest = hashlib.sha256()
+        for field in ("times", "positions", "residuals", "residual_norm", "cost",
+                      "edge_lengths", "centroid", "min_distance", "rank_p"):
+            digest.update(getattr(trace, field).tobytes())
+        assert digest.hexdigest() == (
+            "87e1126db93fa31c81340d8c3141295c209cac76ea321d5020672d8a87c101c9")
 
     @pytest.mark.parametrize("law", list(Law))
     @pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
