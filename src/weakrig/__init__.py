@@ -12,8 +12,7 @@ _NAMES = {  # module: the public names it defines
     "control": (
         "ControlEvaluator", "ControllerSpec", "FormationTarget", "GainMatrix", "Law",
         "StabilityReport", "Verdict", "barred_weak_rigidity_matrix", "build_formation_triples",
-        "classify_stability", "gain_search", "gradient_control", "jacobian_at_target",
-        "local_cost", "nongradient_control", "residuals", "sort_eigenvalues", "total_cost",
+        "classify_stability", "gain_search", "jacobian_at_target", "sort_eigenvalues",
     ),
     "errors": (
         "ConstructionError", "DegenerateConfigurationError", "DivergenceError", "DomainError",
@@ -23,15 +22,15 @@ _NAMES = {  # module: the public names it defines
     "framework": (
         "Configuration", "Framework", "TripleSet", "check_iwr_via_spanning_tree",
         "distance_triple", "edge_weak_rigidity_matrix", "is_infinitesimally_rigid",
-        "is_infinitesimally_weakly_rigid", "points_span_full_dimension", "required_rank",
-        "restrict_triples_to_tree", "rigidity_function", "rigidity_matrix",
-        "trivial_motion_basis", "weak_rigidity_function", "weak_rigidity_matrix",
+        "is_infinitesimally_weakly_rigid", "required_rank", "restrict_triples_to_tree",
+        "rigidity_matrix", "trivial_motion_basis", "weak_rigidity_function",
+        "weak_rigidity_matrix",
     ),
-    "graphs": ("Graph", "incidence", "is_connected", "neighbors", "spanning_tree"),
+    "graphs": ("Graph", "incidence", "is_connected", "spanning_tree"),
     "linalg": ("are_collinear", "numerical_rank"),
     "shape": (
-        "Alignment", "align", "congruent", "edge_vector_matrix", "edm", "gram", "recover_shape",
-        "shape_distance", "weakly_congruent",
+        "congruent", "edge_vector_matrix", "edm", "gram", "recover_shape", "shape_distance",
+        "weakly_congruent",
     ),
     "simulate": (
         "InvariantReport", "SimulationConfig", "SimulationTrace", "convergence_rate",

@@ -102,11 +102,8 @@ def _cmd_jacobian(args) -> int:
         fileio.write_json(args.gain_out, fileio.gain_to_dict(gain))
     elif args.identity:
         gain = GainMatrix.identity(tgt.n, tgt.d)
-    elif args.gain:
-        gain = fileio.gain_from_dict(fileio.load_json(args.gain))
     else:
-        print("provide a gain file, --identity, or --search", file=sys.stderr)
-        return 2
+        gain = fileio.gain_from_dict(fileio.load_json(args.gain))
     report = classify_stability(jacobian_at_target(tgt, gain), tgt.d)
     fileio.write_eigenvalue_csv(args.out, report.eigenvalues)
     print(f"verdict: {report.verdict.value}")
@@ -183,11 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobian", help="target-point stability analysis")
     p.add_argument("target", help="target JSON: framework plus triples")
-    p.add_argument("--gain", help="gain JSON with per-agent blocks")
-    p.add_argument("--identity", action="store_true", help="use the identity gain")
+    gain = p.add_mutually_exclusive_group(required=True)
+    gain.add_argument("--gain", help="gain JSON with per-agent blocks")
+    gain.add_argument("--identity", action="store_true", help="use the identity gain")
+    gain.add_argument("--search", type=int, metavar="TRIALS",
+                      help="sample diagonal gains and keep the first stabilizing one")
     p.add_argument("--out", default="eigenvalues.csv", help="eigenvalue CSV path")
-    p.add_argument("--search", type=int, metavar="TRIALS",
-                   help="sample diagonal gains and keep the first stabilizing one")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--gain-out", default="gain_found.json",
                    help="where --search writes a found gain")

@@ -150,33 +150,6 @@ def build_formation_triples(gf: Graph, gs: Graph) -> TripleSet:
     return TripleSet(full._arr[(l1 == l2) | (gs._edge_ids(l1, l2) >= 0)])
 
 
-def residuals(p: Configuration, tgt: FormationTarget) -> np.ndarray:
-    """delta(p): constraint values at p minus the target values."""
-    return weak_rigidity_function(Framework(tgt.graph, p), tgt.triples) - tgt.values
-
-
-def total_cost(p: Configuration, tgt: FormationTarget) -> float:
-    """V = 0.5 |delta|^2; zero exactly on the target shape manifold."""
-    delta = residuals(p, tgt)
-    return 0.5 * float(delta @ delta)
-
-
-def local_cost(i: int, p: Configuration, tgt: FormationTarget) -> float:
-    """Per-agent cost: apex-owned angle residuals plus the residual of every
-    incident edge (each edge is counted by both endpoints)."""
-    if not 1 <= i <= tgt.n:
-        raise InputError(f"agent {i} outside 1..{tgt.n}")
-    a, j, k = tgt.triples._arr.T
-    owned = residuals(p, tgt)[(a == i) | ((j == k) & (j == i))]
-    return 0.5 * sum((owned ** 2).tolist())
-
-
-def gradient_control(p: Configuration, tgt: FormationTarget) -> np.ndarray:
-    """u = -R_w(p)^T delta(p), the negative gradient of the total cost."""
-    rw = weak_rigidity_matrix(Framework(tgt.graph, p), tgt.triples)
-    return -(rw.T @ residuals(p, tgt))
-
-
 def barred_weak_rigidity_matrix(p: Configuration, tgt: FormationTarget) -> np.ndarray:
     """The matrix Rbar with stacked per-agent gradients of the local costs
     equal to Rbar^T delta: distance rows match R_w, angle rows keep only the
@@ -196,20 +169,12 @@ def _apply_gain(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     return km.reshape(k.shape[:-3] + m.shape)
 
 
-def nongradient_control(p: Configuration, tgt: FormationTarget,
-                        gain: GainMatrix) -> np.ndarray:
-    """u = -K Rbar(p)^T delta(p); agent i applies K_i to its local-cost gradient."""
-    rb = barred_weak_rigidity_matrix(p, tgt)
-    return -_apply_gain(gain.stacked(), rb.T @ residuals(p, tgt))
-
-
 class ControlEvaluator:
     """Precompiled closed-loop evaluator for repeated integration steps.
 
-    Produces the same velocities as ``gradient_control``/``nongradient_control``
-    (asserted by the test suite) without rebuilding matrices per call. One
-    gather yields the edge table and the signed slot vectors; the slots,
-    weighted by the negated residual, scatter straight into -grad V.
+    No matrix is rebuilt per call. One gather yields the edge table and the
+    signed slot vectors; the slots, weighted by the negated residual, scatter
+    straight into -grad V.
     """
 
     def __init__(self, spec: ControllerSpec):

@@ -143,9 +143,11 @@ def simulation_config_from_dict(obj: dict) -> SimulationConfig:
             raise InputError(f"field 'initial.points': {exc}") from exc
     else:
         perturb = _get(init, "perturb", float, "a perturbation magnitude")
-        if not math.isfinite(perturb):
-            raise InputError("field 'initial.perturb' must be finite")
+        if not (perturb >= 0.0 and math.isfinite(2.0 * perturb)):  # the draw's range width
+            raise InputError("field 'initial.perturb' must be >= 0, with 2 * perturb finite")
         seed = _get(init, "seed", int, "an integer seed")
+        if seed < 0:
+            raise InputError("field 'initial.seed' must be >= 0")
         rng = np.random.default_rng(seed)
         shift = rng.uniform(-perturb, perturb, size=target.witness.points.shape)
         initial = Configuration(target.witness.points + shift)

@@ -313,16 +313,6 @@ def _distance_triples(g: Graph) -> TripleSet:
     return TripleSet(np.stack([b, a, a], axis=1) + 1)
 
 
-def _triple_values(p: np.ndarray, t: TripleSet) -> np.ndarray:
-    ap, l1, l2 = t._idx
-    return np.einsum("ij,ij->i", p[ap] - p[l1], p[ap] - p[l2])
-
-
-def rigidity_function(f: Framework) -> np.ndarray:
-    """Squared edge lengths in canonical edge order."""
-    return _triple_values(f.points, _distance_triples(f.graph))
-
-
 def _rigidity_operator(f: Framework) -> _ConstraintOperator:
     return _ConstraintOperator.on_vertices(_distance_triples(f.graph), f.n, f.d)
 
@@ -346,7 +336,9 @@ def rigidity_matrix(f: Framework) -> np.ndarray:
 def weak_rigidity_function(f: Framework, t: TripleSet) -> np.ndarray:
     """Components e_ij^T e_ik in triple order; equals squared length when j == k."""
     t.require_valid_for(f.graph)
-    return _triple_values(f.points, t)
+    p = f.points
+    ap, l1, l2 = t._idx
+    return np.einsum("ij,ij->i", p[ap] - p[l1], p[ap] - p[l2])
 
 
 def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:
@@ -435,10 +427,3 @@ def check_iwr_via_spanning_tree(f: Framework, tree: Graph, t: TripleSet) -> bool
     rank, req = _rank_test(f, lambda: _edge_weak_rigidity_operator(f, tree, t))
     return rank == req
 
-
-def points_span_full_dimension(c: Configuration) -> bool:
-    """True iff the points do not lie in a hyperplane of R^d: the centered
-    points P - mean(P) have rank d. Scaling the points scales that matrix,
-    so the verdict is scale-free."""
-    _require_enough_points(c.n, c.d)
-    return numerical_rank(c.points - c.points.mean(axis=0)) == c.d

@@ -117,14 +117,6 @@ class Graph:
         return np.where(hit, pos, -1)
 
 
-def neighbors(g: Graph, i: int) -> set[int]:
-    """Vertices adjacent to i (1-based)."""
-    if not 1 <= i <= g.n:
-        raise InputError(f"vertex {i} outside 1..{g.n}")
-    start, _, nbr = g._csr
-    return set((nbr[start[i - 1]:start[i]] + 1).tolist())
-
-
 def _bfs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first search from vertex 1, visiting neighbours in ascending order.
 

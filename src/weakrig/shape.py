@@ -8,8 +8,6 @@ points along the tree, and certifying the rest of the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InputError, NotRealizableError
@@ -79,35 +77,17 @@ def _weak_congruence_gap(p: Configuration, q: Configuration) -> float:
     return float(max(np.max(np.abs(slab(gp, i) - slab(gq, i))) for i in range(p.n)))
 
 
-@dataclass(frozen=True, eq=False)
-class Alignment:
-    """Orthogonal map A (det +-1), translation c, and the residual of
-    min sum_i |p_i - (A q_i + c)|^2."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    residual: float
-
-
-def align(p: Configuration, q: Configuration) -> Alignment:
-    """Orthogonal Procrustes fit of q onto p, reflections allowed."""
-    _require_same_shape(p, q)
-    pp = p.points
-    qp = q.points
-    pbar = pp.mean(axis=0)
-    qbar = qp.mean(axis=0)
-    pc = pp - pbar
-    qc = qp - qbar
-    u, sv, vt = np.linalg.svd(qc.T @ pc)
-    rot = (u @ vt).T
-    translation = pbar - rot @ qbar
-    resid_sq = float(np.sum((pc - qc @ rot.T) ** 2))
-    return Alignment(rot, translation, float(np.sqrt(max(resid_sq, 0.0))))
-
-
 def shape_distance(p: Configuration, q: Configuration) -> float:
-    """Alignment residual allowing reflection; zero iff congruent."""
-    return align(p, q).residual
+    """Residual of the orthogonal Procrustes fit of q onto p, reflections
+    allowed: the least sqrt(sum_i |p_i - (A q_i + c)|^2) over orthogonal A and
+    translations c. Zero iff p and q are congruent."""
+    _require_same_shape(p, q)
+    pc = p.points - p.points.mean(axis=0)
+    qc = q.points - q.points.mean(axis=0)
+    u, _, vt = np.linalg.svd(qc.T @ pc)
+    rot = (u @ vt).T
+    resid_sq = float(np.sum((pc - qc @ rot.T) ** 2))
+    return float(np.sqrt(max(resid_sq, 0.0)))
 
 
 def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:

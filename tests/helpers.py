@@ -24,7 +24,7 @@ from weakrig import (
     full_triple_set,
     jacobian_at_target,
     numerical_rank,
-    residuals,
+    weak_rigidity_function,
 )
 from weakrig.graphs import _bfs
 from weakrig.linalg import _rank_of
@@ -163,6 +163,19 @@ def reference_edge_weak_rigidity_matrix(f, tree, t):
     return r
 
 
+def spans_full_dimension(c):
+    """The points lie in no hyperplane of R^d: the centered points P - mean(P)
+    have numerical rank d. Scaling the points scales that matrix, so the
+    verdict is scale-free."""
+    return numerical_rank(c.points - c.points.mean(axis=0)) == c.d
+
+
+def csr_neighbors(g, i):
+    """The 1-based neighbours of vertex i, as the graph's CSR table lists them."""
+    start, _, nbr = g._csr
+    return (nbr[start[i - 1]:start[i]] + 1).tolist()
+
+
 def reference_rank(op, pts):
     """The dense rank test that the apex-blocked reduction replaced: the rank
     of the whole (s, ncols*d) matrix of a constraint operator."""
@@ -235,8 +248,21 @@ def same_gain_bits(a, b):
     return a.stacked().tobytes() == b.stacked().tobytes()
 
 
-def reference_local_cost(i, p, tgt):
-    """Per-triple loop: apex-owned angles, and distances at either end."""
+def residuals(p, tgt):
+    """The paper's delta(p): constraint values at p minus the target values."""
+    return weak_rigidity_function(Framework(tgt.graph, p), tgt.triples) - tgt.values
+
+
+def total_cost(p, tgt):
+    """The paper's V(p) = 0.5 |delta(p)|^2, zero exactly on the target shapes."""
+    delta = residuals(p, tgt)
+    return 0.5 * float(delta @ delta)
+
+
+def local_cost(i, p, tgt):
+    """Agent i's local cost V_i, as a per-triple loop: half the squared
+    residual of each angle triple with apex i and of each distance triple on
+    an edge at i (so every edge is counted by both of its ends)."""
     delta = residuals(p, tgt)
     total = 0.0
     for t, (a, j, k) in enumerate(tgt.triples.triples):

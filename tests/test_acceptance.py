@@ -14,10 +14,22 @@ from itertools import combinations
 import numpy as np
 
 from conftest import EIGS_DESIGNED_GAIN, EIGS_IDENTITY_GAIN
-from helpers import fd_gradient, fd_jacobian, random_framework, rel_err, rigid_transform
+from helpers import (
+    fd_gradient,
+    fd_jacobian,
+    local_cost,
+    random_connected_graph,
+    random_framework,
+    rel_err,
+    residuals,
+    rigid_transform,
+    spans_full_dimension,
+    total_cost,
+)
 from test_control import triangle_target
 from weakrig import (
     Configuration,
+    ControlEvaluator,
     ControllerSpec,
     FormationTarget,
     Framework,
@@ -34,29 +46,22 @@ from weakrig import (
     convergence_rate,
     edge_weak_rigidity_matrix,
     full_triple_set,
-    gradient_control,
     gram,
     integrate,
     is_connected,
     is_infinitesimally_weakly_rigid,
     jacobian_at_target,
-    local_cost,
     min_iwr_spanning_tree,
     minimal_triple_set,
     monitor_invariants,
-    nongradient_control,
-    points_span_full_dimension,
     recover_shape,
-    residuals,
     shape_distance,
     sort_eigenvalues,
-    total_cost,
     trivial_motion_basis,
     weak_rigidity_function,
     weak_rigidity_matrix,
     weakly_congruent,
 )
-from helpers import random_connected_graph
 
 
 def _verdict(num, ok, detail):
@@ -218,7 +223,7 @@ def test_criterion_7_congruence_equivalence_and_round_trip():
     while done < 100:
         d = int(rng.integers(2, 4))
         fw = random_framework(rng, int(rng.integers(d + 1, 9)), d)
-        if not points_span_full_dimension(fw.config):
+        if not spans_full_dimension(fw.config):
             continue
         done += 1
         rec = recover_shape(gram(fw), fw.graph, d)
@@ -284,12 +289,12 @@ def test_criterion_9_differential_consistency():
         ])
         worst = max(worst, rel_err(stacked, fd_barred))
 
-        u_grad = gradient_control(p, tgt)
+        u_grad = ControlEvaluator(ControllerSpec(Law.GRADIENT, tgt)).velocity(pts).reshape(-1)
         fd_grad = -fd_gradient(
             lambda x: total_cost(Configuration.from_stacked(x, 2), tgt), flat)
         worst = max(worst, rel_err(u_grad, fd_grad))
 
-        u_non = nongradient_control(p, tgt, gain).reshape(n, 2)
+        u_non = ControlEvaluator(ControllerSpec(Law.NONGRADIENT, tgt, gain)).velocity(pts)
         expected = np.stack([-gain.blocks[i] @ fd_barred[2 * i:2 * i + 2]
                              for i in range(n)])
         worst = max(worst, rel_err(u_non, expected))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -289,8 +290,26 @@ class TestJacobian:
         assert code == 1
         assert "none found" in capsys.readouterr().out
 
-    def test_no_gain_choice_exits_two(self, target_file):
-        assert main(["jacobian", target_file]) == 2
+    def test_no_gain_choice_exits_two(self, target_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["jacobian", target_file])
+        assert exc.value.code == 2
+        assert "one of the arguments --gain --identity --search is required" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--identity", "--search", "10"],
+        ["--gain", "{gain}", "--identity"],
+        ["--search", "10", "--gain", "{gain}"],
+    ])
+    def test_two_gain_choices_exit_two(self, target_file, gain_file, tmp_path, capsys, argv):
+        out = tmp_path / "e.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["jacobian", target_file, *(a.format(gain=gain_file) for a in argv),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("blocks", [
         [[[0.3, 0.0], [0.0, -0.04]]] * 5,  # one agent short
@@ -396,6 +415,23 @@ class TestSimulate:
         assert main(["simulate", str(cfg_path), str(tmp_path / "x")]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("perturb", -0.1, "field 'initial.perturb' must be >= 0"),
+        ("perturb", 1e308, "with 2 * perturb finite"),
+        ("seed", -1, "field 'initial.seed' must be >= 0"),
+    ])
+    def test_bad_initial_draw_exits_two(self, tmp_path, capsys, field, value, message):
+        cfg = {
+            "target": hexagon_target_dict(),
+            "law": "gradient",
+            "initial": {"perturb": 0.1, "seed": 0, field: value},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(cfg_path), str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x_trace.csv").exists()
+
     def test_overlong_run_exits_two(self, tmp_path, capsys):
         cfg = {
             "target": hexagon_target_dict(),
@@ -442,25 +478,16 @@ class TestModuleEntryPoint:
         assert run.stdout == "\n"
 
 
-# The package's public names, as ``from weakrig import *`` gives them.
-PUBLIC_NAMES = frozenset("""
-Alignment Configuration ConstructionError ControlEvaluator ControllerSpec
-DegenerateConfigurationError DivergenceError DomainError FitError FormationTarget
-Framework GainMatrix Graph InputError InvariantReport Law NoValidExtensionError
-NotRealizableError SimulationConfig SimulationTrace StabilityReport TripleSet
-UnsupportedDimensionError UnsupportedRegimeError Verdict align are_collinear
-barred_weak_rigidity_matrix build_formation_triples check_iwr_via_spanning_tree
-check_planar_graphical_condition classify_stability collinearity_defects congruent
-control convergence_rate distance_triple edge_vector_matrix edge_weak_rigidity_matrix
-edm errors framework full_triple_set gain_search gradient_control gram graphs
-incidence integrate is_connected is_infinitesimally_rigid
-is_infinitesimally_weakly_rigid jacobian_at_target linalg local_cost
-min_iwr_spanning_tree minimal_triple_set monitor_invariants neighbors
-nongradient_control numerical_rank points_span_full_dimension recover_shape
-required_rank residuals restrict_triples_to_tree rigidity_function rigidity_matrix
-shape shape_distance simulate sort_eigenvalues spanning_tree total_cost triples
-trivial_motion_basis weak_rigidity_function weak_rigidity_matrix weakly_congruent
-""".split())
+def _documented_names() -> frozenset:
+    """The modules and names listed under the README's "Library surface"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library surface\n", 1)[1].split("\n\n- ", 1)[1]
+    bullets = section.split("\n\n", 1)[0]
+    return frozenset(re.findall(r"`(\w+)`", bullets))
+
+
+# The package's public names: ``from weakrig import *`` gives exactly these.
+PUBLIC_NAMES = _documented_names()
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 # Runs the CLI on argv and prints, as its last line, the weakrig submodules loaded.
 LOADED_AFTER_MAIN = (

@@ -13,6 +13,7 @@ from helpers import (
     reference_trivial_motion_basis,
     reference_weak_rigidity_matrix,
     rel_err,
+    spans_full_dimension,
 )
 from weakrig import (
     Configuration,
@@ -26,15 +27,14 @@ from weakrig import (
     check_iwr_via_spanning_tree,
     distance_triple,
     edge_weak_rigidity_matrix,
+    edm,
     full_triple_set,
     incidence,
     is_infinitesimally_rigid,
     is_infinitesimally_weakly_rigid,
     numerical_rank,
-    points_span_full_dimension,
     required_rank,
     restrict_triples_to_tree,
-    rigidity_function,
     rigidity_matrix,
     spanning_tree,
     trivial_motion_basis,
@@ -133,19 +133,26 @@ class TestTripleSet:
         assert distance_triple(5, 3) == (5, 3, 3)
 
 
+def squared_edge_lengths(fw):
+    """Squared edge lengths in canonical edge order: the weak rigidity
+    function on one distance triple per edge."""
+    return weak_rigidity_function(
+        fw, TripleSet(tuple(distance_triple(i, j) for i, j in fw.graph.edges)))
+
+
 class TestRigidityFunction:
     def test_hexagon_side_lengths(self, hexagon_framework):
-        assert np.allclose(rigidity_function(hexagon_framework), 4.0, atol=1e-12)
+        assert np.allclose(squared_edge_lengths(hexagon_framework), 4.0, atol=1e-12)
 
     def test_coincident_points(self):
         fw = Framework(Graph(2, ((1, 2),)),
                        Configuration(np.array([[1.0, 2.0], [1.0, 2.0]])))
-        assert rigidity_function(fw) == pytest.approx([0.0])
+        assert squared_edge_lengths(fw) == pytest.approx([0.0])
 
     def test_three_four_five(self):
         fw = Framework(Graph(2, ((1, 2),)),
                        Configuration(np.array([[0.0, 0.0], [3.0, 4.0]])))
-        assert rigidity_function(fw) == pytest.approx([25.0])
+        assert squared_edge_lengths(fw) == pytest.approx([25.0])
 
 
 class TestWeakRigidityFunction:
@@ -167,11 +174,12 @@ class TestWeakRigidityFunction:
             weak_rigidity_function(fw, TripleSet(((1, 2, 3),)))
 
     def test_distance_components_match_rigidity_function(self):
+        """Distance triples give the squared edge lengths that ``edm`` lists."""
         rng = np.random.default_rng(2)
         for _ in range(10):
             fw = random_framework(rng, 6, 2)
-            ts = TripleSet(tuple(distance_triple(i, j) for i, j in fw.graph.edges))
-            assert np.array_equal(weak_rigidity_function(fw, ts), rigidity_function(fw))
+            lengths = [edm(fw.config)[i - 1, j - 1] for i, j in fw.graph.edges]
+            assert np.array_equal(squared_edge_lengths(fw), lengths)
 
 
 class TestRigidityMatrix:
@@ -196,7 +204,7 @@ class TestRigidityMatrix:
             fw = random_framework(rng, 5, 2 + trial % 2)
 
             def func(x, g=fw.graph, d=fw.d):
-                return rigidity_function(Framework(g, Configuration.from_stacked(x, d)))
+                return squared_edge_lengths(Framework(g, Configuration.from_stacked(x, d)))
 
             fd = fd_jacobian(func, fw.config.stacked())
             assert rel_err(rigidity_matrix(fw), fd) < 1e-6
@@ -393,8 +401,8 @@ class TestRankTests:
             return [(is_infinitesimally_rigid(fw),
                      is_infinitesimally_weakly_rigid(fw, full_triple_set(fw.graph)),
                      check_iwr_via_spanning_tree(fw, spanning_tree(fw.graph),
-                                                 full_triple_set(fw.graph)),
-                     points_span_full_dimension(fw.config)) for fw in cases]
+                                                 full_triple_set(fw.graph)))
+                    for fw in cases]
 
         def refuse(op, pts):
             raise AssertionError("dense constraint matrix formed")
@@ -404,8 +412,7 @@ class TestRankTests:
                      == required_rank(fw.n, fw.d),
                      numerical_rank(edge_weak_rigidity_matrix(
                          fw, spanning_tree(fw.graph), full_triple_set(fw.graph)))
-                     == required_rank(fw.n, fw.d),
-                     points_span_full_dimension(fw.config)) for fw in cases]
+                     == required_rank(fw.n, fw.d)) for fw in cases]
         monkeypatch.setattr(_ConstraintOperator, "dense", refuse)
         assert decisions() == expected
 
@@ -466,17 +473,15 @@ class TestSpanningTreeCheck:
 
 
 class TestPointsSpanFullDimension:
+    """The filter that criterion 7 and the shape round trip apply."""
+
     def test_hexagon(self, hexagon_config):
-        assert points_span_full_dimension(hexagon_config)
+        assert spans_full_dimension(hexagon_config)
 
     def test_collinear(self):
         pts = np.column_stack([np.arange(3.0), np.zeros(3)])
-        assert not points_span_full_dimension(Configuration(pts))
+        assert not spans_full_dimension(Configuration(pts))
 
     def test_simplex(self):
         pts = np.vstack([np.zeros(3), np.eye(3)])
-        assert points_span_full_dimension(Configuration(pts))
-
-    def test_too_few_points(self):
-        with pytest.raises(UnsupportedRegimeError):
-            points_span_full_dimension(Configuration(np.zeros((2, 2))))
+        assert spans_full_dimension(Configuration(pts))

@@ -5,7 +5,7 @@ the graphical test, the rank tests, the tree and the 2n-3 set, shape
 recovery, congruence, the stability classifier and the gain search. The
 collinearity verdicts (graphical test, tree, 2n-3 set) hold still over
 k in [-1000, 1000], near both ends of the float range, and the full-span
-test over k in [-600, 600]."""
+test (``numerical_rank`` of the centered points) over k in [-600, 600]."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import DESIGNED_GAIN_DIAGS, HEXAGON_EDGES, HEXAGON_POINTS  # noqa: E402
-from helpers import random_connected_graph, same_gain_bits  # noqa: E402
+from helpers import random_connected_graph, same_gain_bits, spans_full_dimension  # noqa: E402
 from weakrig import (  # noqa: E402
     Configuration,
     DomainError,
@@ -35,7 +35,6 @@ from weakrig import (  # noqa: E402
     jacobian_at_target,
     min_iwr_spanning_tree,
     minimal_triple_set,
-    points_span_full_dimension,
     recover_shape,
     spanning_tree,
     weakly_congruent,
@@ -135,7 +134,7 @@ def test_collinearity_verdicts_are_scale_free_over_the_float_range(fw, k):
 
 
 def _spans(fw, s):
-    return _outcome(points_span_full_dimension, Configuration(s * fw.points))
+    return spans_full_dimension(Configuration(s * fw.points))
 
 
 @settings(max_examples=60)
@@ -149,7 +148,7 @@ def test_full_span_holds_for_scaled_generic_points(k):
     """Ranking [1 | P], whose column of ones does not scale, read these six
     points as spanning at 2^+-20 but not at 2^34 or 2^-30."""
     pts = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 2))
-    assert points_span_full_dimension(Configuration(2.0**k * pts))
+    assert spans_full_dimension(Configuration(2.0**k * pts))
 
 
 @pytest.mark.parametrize("length", [1e-170, 1e160])
