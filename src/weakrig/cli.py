@@ -142,6 +142,8 @@ def _cmd_simulate(args) -> int:
         "termination": trace.termination,
         "converged": converged,
         "final_time": float(trace.times[-1]),
+        "steps": trace.steps,
+        "evaluations": trace.evaluations,
         "final_cost": float(trace.cost[-1]),
         "final_edge_lengths": [float(x) for x in trace.edge_lengths[-1]],
         "decay_slope": slope,

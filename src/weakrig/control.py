@@ -172,38 +172,37 @@ def _apply_gain(k: np.ndarray, m: np.ndarray) -> np.ndarray:
 class ControlEvaluator:
     """Precompiled closed-loop evaluator for repeated integration steps.
 
-    No matrix is rebuilt per call. One gather yields the edge table and the
-    signed slot vectors; the slots, weighted by the negated residual, scatter
-    straight into -grad V.
+    ``__init__`` compiles the law into one closure, ``_field``, from the flat
+    (n*d,) state to the flat velocity and the residuals. Its gather puts tails
+    before heads, which yields the negated slot vectors exactly: the dots of
+    the first 2s are the e1.e2 table, and each, times its residual, scatters
+    straight into -grad V. The public methods reshape (n, d) points around it.
     """
 
     def __init__(self, spec: ControllerSpec):
         tgt = spec.target
         tgt.triples.require_valid_for(tgt.graph)
-        self.n = tgt.n
-        self.d = tgt.d
-        self._s = tgt.triples.s
-        self._rstar = tgt.values
-        self._gain = spec.gain.stacked() if spec.law is Law.NONGRADIENT else None
+        n, d, s, rstar = tgt.n, tgt.d, tgt.triples.s, tgt.values
+        gain = spec.gain.stacked() if spec.law is Law.NONGRADIENT else None
         # the gradient law scatters through R_w, the non-gradient law through Rbar
-        self._op = _ConstraintOperator.on_vertices(tgt.triples, self.n, self.d,
-                                                   barred=self._gain is not None)
-        self._row = self._op._row[:, None]
-        self._bins = ((self._op._col * self.d)[:, None] + np.arange(self.d)).ravel()
+        op = _ConstraintOperator.on_vertices(tgt.triples, n, d, barred=gain is not None)
+        k, nd, axes = op._row.size, n * d, np.arange(d)
+        gather = np.concatenate([op._idx[k:], op._idx[:k]])[:, None] * d + axes
+        rows = np.repeat(op._row, d)  # the residual row of each slot coordinate
+        bins = (op._col[:, None] * d + axes).ravel()
+        vecdot, bincount, matvec = np.vecdot, np.bincount, np.matvec  # fix the rounding
 
-    def _velocity_and_negated_residuals(self, pts: np.ndarray):
-        """Velocity and -delta; negating delta before the scatter is exact."""
-        v = self._op.slots(pts)
-        s = self._s
-        neg_delta = self._rstar - _dot(v[:s], v[s:2 * s])
-        neg_grad = np.bincount(self._bins, (v * neg_delta[self._row]).ravel(),
-                               minlength=self.n * self.d).reshape(self.n, self.d)
-        if self._gain is None:
-            return neg_grad, neg_delta
-        return np.matvec(self._gain, neg_grad), neg_delta
+        def field(x):
+            g = x[gather]
+            neg = g[:k] - g[k:]
+            delta = vecdot(neg[:s], neg[s:2 * s]) - rstar
+            vel = bincount(bins, neg.ravel() * delta[rows], minlength=nd)
+            return (vel if gain is None else matvec(gain, vel.reshape(n, d)).reshape(nd)), delta
+
+        self._field = field
 
     def residuals(self, pts: np.ndarray) -> np.ndarray:
-        return -self._velocity_and_negated_residuals(pts)[1]
+        return self._field(pts.ravel())[1]
 
     def cost(self, pts: np.ndarray) -> float:
         delta = self.residuals(pts)
@@ -211,12 +210,12 @@ class ControlEvaluator:
 
     def velocity(self, pts: np.ndarray) -> np.ndarray:
         """(n, d) agent velocities at the given positions."""
-        return self._velocity_and_negated_residuals(pts)[0]
+        return self._field(pts.ravel())[0].reshape(pts.shape)
 
     def velocity_and_residuals(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Velocity plus the residual vector, sharing the edge-vector work."""
-        vel, neg_delta = self._velocity_and_negated_residuals(pts)
-        return vel, -neg_delta
+        vel, delta = self._field(pts.ravel())
+        return vel.reshape(pts.shape), delta
 
 
 @dataclass(frozen=True, eq=False)

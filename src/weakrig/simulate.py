@@ -8,6 +8,8 @@ edge lengths, centroid, pairwise distances, rank of the point matrix).
 from __future__ import annotations
 
 import math
+import numbers
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,9 @@ class SimulationConfig:
             raise InputError("step h must be positive and finite")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise InputError("t_max must be positive and finite")
-        if self.record_every < 1:
-            raise InputError("record_every must be >= 1")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise InputError("record_every must be an integer >= 1")
         if not (self.stop_cost >= 0 and math.isfinite(self.stop_cost)):
             raise InputError("stop_cost must be finite and >= 0")
         if self.t_max / self.h - 1e-9 > MAX_STEPS:
@@ -65,6 +68,10 @@ class SimulationTrace:
     min_distance: np.ndarray   # (T,)
     rank_p: np.ndarray         # (T,)
     termination: str
+    steps: int = 0             # RK4 steps taken
+    evaluations: int = 0       # closed-loop field evaluations, 4 * steps + 1
+    loop_s: float = 0.0        # seconds in the step loop
+    post_s: float = 0.0        # seconds building the trace from the samples
 
     def __len__(self) -> int:
         return self.times.size
@@ -129,6 +136,16 @@ class _Recorder:
         )
 
 
+def _finish(rec: _Recorder, termination: str, steps: int, start: float) -> SimulationTrace:
+    """The trace of a run that took ``steps`` RK4 steps, four field evaluations
+    each plus one at the last state, in a loop that began at ``start``."""
+    loop_end = time.perf_counter()
+    trace = rec.build(termination)
+    trace.steps, trace.evaluations = steps, 4 * steps + 1
+    trace.loop_s, trace.post_s = loop_end - start, time.perf_counter() - loop_end
+    return trace
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(cfg: SimulationConfig) -> SimulationTrace:
     """Classical RK4 with fixed step, recording every record_every-th step plus
@@ -137,30 +154,31 @@ def integrate(cfg: SimulationConfig) -> SimulationTrace:
     Raises DivergenceError (carrying the partial trace) if the state leaves
     the finite floats; floating-point overflow on the way there is silent.
     """
-    ev = ControlEvaluator(cfg.controller)
-    h, n_steps = cfg.h, cfg.n_steps
-    velocity, half, sixth = ev.velocity, 0.5 * h, h / 6.0
+    field = ControlEvaluator(cfg.controller)._field
+    h, n_steps, every, stop_cost = cfg.h, cfg.n_steps, cfg.record_every, cfg.stop_cost
+    half, sixth, shape = 0.5 * h, h / 6.0, cfg.initial.points.shape
     # the start, every record_every-th step, and a last step or stop between them
-    rec = _Recorder(cfg.controller.target.graph._ends, n_steps // cfg.record_every + 2)
-    pts = cfg.initial.points.copy()
+    rec = _Recorder(cfg.controller.target.graph._ends, n_steps // every + 2)
+    pts = cfg.initial.points.flatten()
+    start = time.perf_counter()
     for step in range(n_steps + 1):
         # the velocity at the current state doubles as the next step's first stage
-        vel, delta = ev.velocity_and_residuals(pts)
+        vel, delta = field(pts)
         cost = 0.5 * float(delta @ delta)
         # a non-finite coordinate of a vertex in a triple reaches that triple's
         # residual, and a vertex in no triple never moves: a finite cost means
         # a finite state, so only a non-finite cost needs the full scan
         if not math.isfinite(cost) and not np.isfinite(pts).all():
             raise DivergenceError(f"state became non-finite at t = {step * h:.6g}",
-                                  rec.build("diverged"))
-        stop = cost < cfg.stop_cost
-        if stop or step % cfg.record_every == 0 or step == n_steps:
-            rec.add(step * h, pts, delta, cost)
+                                  _finish(rec, "diverged", step, start))
+        stop = cost < stop_cost
+        if stop or step % every == 0 or step == n_steps:
+            rec.add(step * h, pts.reshape(shape), delta, cost)
         if stop or step == n_steps:
-            return rec.build("stop_cost" if stop else "t_max")
-        k2 = velocity(pts + half * vel)
-        k3 = velocity(pts + half * k2)
-        k4 = velocity(pts + h * k3)
+            return _finish(rec, "stop_cost" if stop else "t_max", step, start)
+        k2 = field(pts + half * vel)[0]
+        k3 = field(pts + half * k2)[0]
+        k4 = field(pts + h * k3)[0]
         pts = pts + sixth * (vel + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -355,6 +355,10 @@ class TestSimulate:
         assert max(abs(l - 2.0) for l in summary["final_edge_lengths"]) < 1e-3
         assert summary["decay_slope"] < 0
         assert summary["config"] == cfg
+        # counts only: the loop and post-processing times stay out of files
+        assert summary["steps"] == round(summary["final_time"] / 0.01)
+        assert summary["evaluations"] == 4 * summary["steps"] + 1
+        assert not {"loop_s", "post_s"} & summary.keys()
         trace_lines = (tmp_path / "out_trace.csv").read_text().strip().splitlines()
         assert trace_lines[0].startswith("t,p1x,p1y")
 
@@ -369,6 +373,7 @@ class TestSimulate:
         assert main(["simulate", str(cfg_path), str(tmp_path / "eq")]) == 0
         summary = json.loads((tmp_path / "eq_summary.json").read_text())
         assert summary["final_time"] == 0.0
+        assert (summary["steps"], summary["evaluations"]) == (0, 1)
 
     def test_identity_gain_fails_to_converge(self, tmp_path):
         identity_blocks = {"blocks": [[[1.0, 0.0], [0.0, 1.0]]] * 6}
@@ -397,6 +402,7 @@ class TestSimulate:
         assert main(["simulate", str(cfg_path), str(tmp_path / "div")]) == 1
         summary = json.loads((tmp_path / "div_summary.json").read_text())
         assert summary["termination"] == "diverged"
+        assert (summary["steps"], summary["evaluations"]) == (4, 17)
         assert (tmp_path / "div_trace.csv").exists()
 
     @pytest.mark.parametrize("field, value", [

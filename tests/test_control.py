@@ -299,6 +299,26 @@ class TestControlEvaluator:
                 assert np.array_equal(delta, ref_delta)
                 assert rel_err(vel.reshape(-1), dense) < 1e-13
 
+    def test_public_methods_adapt_the_field(self):
+        """Each public method takes and returns the (n, d) shape, or the (s,)
+        residuals, and equals the flat field on the raveled points bit for bit."""
+        rng = np.random.default_rng(70)
+        for trial in range(6):
+            tgt = random_target(rng, d=2 + trial % 2, triples=random_triple_choice(rng, trial))
+            pts = tgt.witness.points + rng.uniform(-0.5, 0.5, (tgt.n, tgt.d))
+            for spec in (ControllerSpec(Law.GRADIENT, tgt),
+                         ControllerSpec(Law.NONGRADIENT, tgt, random_gain(rng, tgt.n, tgt.d))):
+                ev = ControlEvaluator(spec)
+                flat_vel, flat_delta = ev._field(pts.ravel())
+                assert flat_vel.shape == (tgt.n * tgt.d,)
+                vel, delta = ev.velocity_and_residuals(pts)
+                assert vel.shape == pts.shape and delta.shape == (tgt.triples.s,)
+                assert np.array_equal(vel.ravel(), flat_vel)
+                assert np.array_equal(ev.velocity(pts).ravel(), flat_vel)
+                assert np.array_equal(delta, flat_delta)
+                assert np.array_equal(ev.residuals(pts), flat_delta)
+                assert ev.cost(pts) == 0.5 * float(np.vecdot(flat_delta, flat_delta))
+
     def test_gain_required_for_nongradient(self, hexagon_target):
         with pytest.raises(InputError):
             ControllerSpec(Law.NONGRADIENT, hexagon_target)

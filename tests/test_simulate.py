@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_integrate, reference_recorder_build
-from test_control import random_target, triangle_target
+from test_control import random_gain, random_target, triangle_target
 from weakrig import (
     Configuration,
     ControllerSpec,
@@ -54,9 +54,15 @@ class TestConfigValidation:
             SimulationConfig(hexagon_target.witness, spec, h=0.0)
 
     def test_bad_record_every(self, hexagon_target):
+        """A count of steps: an integer >= 1, numpy's included, but neither a
+        float nor a bool (the JSON reader rejects both too)."""
         spec = ControllerSpec(Law.GRADIENT, hexagon_target)
-        with pytest.raises(InputError):
-            SimulationConfig(hexagon_target.witness, spec, record_every=0)
+        for every in (0, -3, 2.5, 3.0, True, np.float64(2.0), "2"):
+            with pytest.raises(InputError, match="^record_every must be an integer >= 1$"):
+                SimulationConfig(hexagon_target.witness, spec, record_every=every)
+        cfg = SimulationConfig(hexagon_target.witness, spec, t_max=0.1, stop_cost=0.0,
+                               record_every=np.int64(4))
+        assert integrate(cfg).times.tolist() == pytest.approx([0.0, 0.04, 0.08, 0.1])
 
     def test_initial_size_mismatch(self, hexagon_target):
         spec = ControllerSpec(Law.GRADIENT, hexagon_target)
@@ -195,7 +201,7 @@ class TestIntegrate:
 
 
     @pytest.mark.parametrize("case", ["hexagon_nongradient", "triangle_gradient",
-                                      "random_3d_gradient"])
+                                      "random_3d_gradient", "random_3d_nongradient"])
     def test_matches_reference_rk4(self, case, hexagon_target, designed_gain):
         if case == "hexagon_nongradient":
             cfg = hexagon_run_config(hexagon_target, designed_gain, seed=11, t_max=1.0,
@@ -206,8 +212,14 @@ class TestIntegrate:
             rng = np.random.default_rng(13)
             tgt = random_target(rng, n=5, d=3)
             start = Configuration(tgt.witness.points + rng.uniform(-0.2, 0.2, (5, 3)))
-            cfg = SimulationConfig(start, ControllerSpec(Law.GRADIENT, tgt),
-                                   t_max=0.5, record_every=1)
+            if case == "random_3d_gradient":
+                spec, t_max = ControllerSpec(Law.GRADIENT, tgt), 0.5
+            else:
+                # full, non-diagonal gain blocks, so every gain row sums d
+                # products; the gain does not stabilize, and the state leaves
+                # the floats near t = 0.2, so the run stops at t = 0.1
+                spec, t_max = ControllerSpec(Law.NONGRADIENT, tgt, random_gain(rng, 5, 3)), 0.1
+            cfg = SimulationConfig(start, spec, t_max=t_max, record_every=1)
         trace = integrate(cfg)
         times, positions, residuals, costs, termination = reference_integrate(cfg)
         assert trace.termination == termination
@@ -217,6 +229,53 @@ class TestIntegrate:
         assert np.array_equal(trace.cost, costs)
         if case == "triangle_gradient":
             assert termination == "stop_cost"
+
+
+class TestRunCounters:
+    @pytest.mark.parametrize("run, steps", [("stop_cost", None), ("t_max", 100),
+                                            ("stop_at_start", 0), ("diverged", 4)])
+    def test_counts_every_field_evaluation(self, run, steps, hexagon_target, designed_gain,
+                                           monkeypatch):
+        """Each RK4 step evaluates the field four times, and the last state
+        once more, however the run ends."""
+        calls = []
+
+        class Counted(simulate.ControlEvaluator):
+            def __init__(self, spec):
+                super().__init__(spec)
+                field = self._field
+
+                def counted(x):
+                    calls.append(x.shape)
+                    return field(x)
+
+                self._field = counted
+
+        monkeypatch.setattr(simulate, "ControlEvaluator", Counted)
+        if run == "stop_cost":
+            cfg, _ = triangle_run_config(seed=12, t_max=20.0, stop_cost=1e-6)
+        elif run == "t_max":
+            cfg = hexagon_run_config(hexagon_target, designed_gain, seed=3, t_max=1.0,
+                                     stop_cost=0.0)
+        elif run == "stop_at_start":
+            cfg = SimulationConfig(hexagon_target.witness,
+                                   ControllerSpec(Law.NONGRADIENT, hexagon_target, designed_gain))
+        else:
+            bad_gain = GainMatrix(tuple(-5.0 * np.eye(2) for _ in range(6)))
+            cfg = hexagon_run_config(hexagon_target, bad_gain, seed=5, t_max=50.0)
+        if run == "diverged":
+            with pytest.raises(DivergenceError) as err:
+                integrate(cfg)
+            trace = err.value.trace
+        else:
+            trace = integrate(cfg)
+            steps = round(trace.times[-1] / cfg.h) if steps is None else steps
+            assert trace.times[-1] == steps * cfg.h
+        assert trace.termination == run.replace("stop_at_start", "stop_cost")
+        assert trace.steps == steps
+        assert trace.evaluations == len(calls) == 4 * steps + 1
+        assert set(calls) == {(cfg.initial.n * cfg.initial.d,)}
+        assert trace.loop_s >= 0.0 and trace.post_s >= 0.0
 
 
 class TestStackedRank:
