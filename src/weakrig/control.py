@@ -26,7 +26,6 @@ from .framework import (
     weak_rigidity_matrix,
 )
 from .graphs import Graph
-from .linalg import _dot
 from .triples import full_triple_set
 
 
@@ -43,9 +42,9 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class GainMatrix:
-    """Per-agent d x d gain blocks; the full gain is their block diagonal."""
+    """Per-agent gain blocks, one read-only (n, d, d) array; K is their block diagonal."""
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
         blocks = [np.array(b, dtype=float) for b in self.blocks]
@@ -62,7 +61,7 @@ class GainMatrix:
             raise InputError("gain blocks must share one dimension" if square
                              else "gain blocks must be square matrices")
         stack.setflags(write=False)
-        object.__setattr__(self, "blocks", tuple(stack))
+        object.__setattr__(self, "blocks", stack)
 
     @property
     def n(self) -> int:
@@ -70,10 +69,7 @@ class GainMatrix:
 
     @property
     def d(self) -> int:
-        return self.blocks[0].shape[0]
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.blocks)
+        return self.blocks.shape[1]
 
     @classmethod
     def identity(cls, n: int, d: int) -> "GainMatrix":
@@ -94,7 +90,6 @@ class FormationTarget:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.triples.require_valid_for(self.graph)
         if self.graph.n != self.witness.n:
             raise InputError("witness configuration does not match the graph")
         vals = weak_rigidity_function(Framework(self.graph, self.witness), self.triples)
@@ -154,7 +149,6 @@ def barred_weak_rigidity_matrix(p: Configuration, tgt: FormationTarget) -> np.nd
     """The matrix Rbar with stacked per-agent gradients of the local costs
     equal to Rbar^T delta: distance rows match R_w, angle rows keep only the
     apex block."""
-    tgt.triples.require_valid_for(tgt.graph)
     if p.n != tgt.n:
         raise InputError("configuration does not match the target size")
     op = _ConstraintOperator.on_vertices(tgt.triples, tgt.n, p.d, barred=True)
@@ -181,9 +175,8 @@ class ControlEvaluator:
 
     def __init__(self, spec: ControllerSpec):
         tgt = spec.target
-        tgt.triples.require_valid_for(tgt.graph)
         n, d, s, rstar = tgt.n, tgt.d, tgt.triples.s, tgt.values
-        gain = spec.gain.stacked() if spec.law is Law.NONGRADIENT else None
+        gain = spec.gain.blocks if spec.law is Law.NONGRADIENT else None
         # the gradient law scatters through R_w, the non-gradient law through Rbar
         op = _ConstraintOperator.on_vertices(tgt.triples, n, d, barred=gain is not None)
         k, nd, axes = op._row.size, n * d, np.arange(d)
@@ -206,7 +199,7 @@ class ControlEvaluator:
 
     def cost(self, pts: np.ndarray) -> float:
         delta = self.residuals(pts)
-        return 0.5 * float(_dot(delta, delta))
+        return 0.5 * float(np.vecdot(delta, delta))
 
     def velocity(self, pts: np.ndarray) -> np.ndarray:
         """(n, d) agent velocities at the given positions."""
@@ -227,7 +220,7 @@ class StabilityReport:
 def jacobian_at_target(tgt: FormationTarget, gain: GainMatrix) -> np.ndarray:
     """K Rbar^T R_w evaluated at the target witness configuration."""
     _require_gain_fits(gain, tgt)
-    return _apply_gain(gain.stacked(), tgt._rbar_t_rw)
+    return _apply_gain(gain.blocks, tgt._rbar_t_rw)
 
 
 def sort_eigenvalues(ev: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")

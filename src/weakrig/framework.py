@@ -101,11 +101,18 @@ class TripleSet:
         err = None
         if (isinstance(triples, np.ndarray) and triples.dtype.kind in "iu"
                 and triples.ndim == 2 and triples.shape[1] == 3):
-            arr = triples.astype(np.int64)
+            arr = triples
         else:
             rows, err = _int_rows(triples, 3, "triple {!r} is not an (i, j, k) triple")
-            arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            arr = np.array(rows, dtype=object).reshape(-1, 3)
             self.__dict__["triples"] = tuple(rows)
+        if arr.dtype != np.int64:  # a uint64 or Python int label can leave the int64 range
+            big = np.flatnonzero(((arr < -2**63) | (arr >= 2**63)).any(axis=1))
+            if big.size:  # that ends the set like a malformed triple
+                err = InputError("triple ({},{},{}) has a label outside the int64 range"
+                                 .format(*arr[big[0]]))
+                arr = arr[:big[0]]
+        arr = arr.astype(np.int64)
         _require_valid_triples(arr)
         if err is not None:
             raise err
@@ -338,7 +345,7 @@ def weak_rigidity_function(f: Framework, t: TripleSet) -> np.ndarray:
     t.require_valid_for(f.graph)
     p = f.points
     ap, l1, l2 = t._idx
-    return np.einsum("ij,ij->i", p[ap] - p[l1], p[ap] - p[l2])
+    return np.vecdot(p[ap] - p[l1], p[ap] - p[l2])
 
 
 def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Numerical rank and collinearity tests with fixed, scale-aware tolerances."""
 
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -26,11 +26,6 @@ def _rank_of(sv, shape):
     return np.count_nonzero(sv > max(shape) * sv[..., :1] * RANK_RTOL, axis=-1)
 
 
-def _dot(u, v):
-    """Dot products over the last axis, each rounded as a 1-D ``u @ v`` is."""
-    return np.vecdot(u, v)
-
-
 @cache
 def _minor_axes(d):
     """Index pairs (a, b), a < b, of the 2x2 minors of a (d, 2) matrix."""
@@ -44,13 +39,16 @@ def are_collinear(u, v):
     Swapping u and v negates each minor exactly, so the verdict is symmetric,
     and a zero vector is collinear with anything. Stacks of shape (..., d) are
     tested pair by pair and give a bool array; a pair of 1-D vectors gives a
-    bool. Each of u and v is first scaled by the power of two that brings its
-    largest |entry| into [0.5, 1): that is exact, so it changes no verdict,
-    and no product or norm below can overflow or underflow.
+    bool; d >= 1. Each vector of u and v is first scaled by the power of two
+    that brings its own largest |entry| into [0.5, 1): that is exact, so it
+    changes no verdict, no product or norm below can overflow or underflow,
+    and a pair in a stack is decided as it is alone.
     """
-    u, v = (np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
+    # each vector's largest |entry| is taken column by column, which beats a
+    # reduction over the last axis on long stacks of short vectors
+    u, v = (np.ldexp(x, -np.frexp(reduce(np.maximum, np.abs(x.T)).T)[1][..., None])
             for x in (np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
     a, b = _minor_axes(u.shape[-1])
     wedge = np.hypot.reduce(u[..., a] * v[..., b] - u[..., b] * v[..., a], axis=-1, initial=0.0)
-    ok = wedge <= COLLINEAR_RTOL * (np.sqrt(_dot(u, u)) * np.sqrt(_dot(v, v)))
+    ok = wedge <= COLLINEAR_RTOL * (np.sqrt(np.vecdot(u, u)) * np.sqrt(np.vecdot(v, v)))
     return bool(ok) if ok.ndim == 0 else ok

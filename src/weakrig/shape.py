@@ -23,7 +23,7 @@ def edm(c: Configuration) -> np.ndarray:
     """(n, n) matrix of pairwise squared distances."""
     p = c.points
     diff = p[:, None, :] - p[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    return np.vecdot(diff, diff)
 
 
 def edge_vector_matrix(f: Framework) -> np.ndarray:

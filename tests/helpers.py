@@ -204,7 +204,7 @@ def reference_velocity_and_residuals(spec, pts):
     n = tgt.n
     ap, l1, l2 = _triple_index_arrays(tgt.triples)
     rstar = tgt.values
-    gain = spec.gain.stacked() if spec.law is Law.NONGRADIENT else None
+    gain = spec.gain.blocks if spec.law is Law.NONGRADIENT else None
     s = rstar.size
     leg_rows = np.nonzero(l1 == l2)[0] if gain is not None else np.arange(s)
     heads = np.concatenate([ap, ap])
@@ -245,7 +245,7 @@ def same_gain_bits(a, b):
     """Both searches found nothing, or found gains with identical bytes."""
     if a is None or b is None:
         return a is None and b is None
-    return a.stacked().tobytes() == b.stacked().tobytes()
+    return a.blocks.tobytes() == b.blocks.tobytes()
 
 
 def residuals(p, tgt):

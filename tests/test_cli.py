@@ -106,6 +106,13 @@ class TestCheck:
         assert main(["check", str(bad)]) == 2
         assert "edges" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["check", str(bad), "--mode", "rigid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+
     def test_missing_file_exits_two(self):
         assert main(["check", "/nonexistent/f.json"]) == 2
 

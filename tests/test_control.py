@@ -103,7 +103,9 @@ class TestGainMatrix:
         gain = GainMatrix(([[1, 2], [3, 4]], np.eye(2)))
         assert gain.n == 2 and gain.d == 2
         assert all(b.dtype == float and not b.flags.writeable for b in gain.blocks)
-        assert np.array_equal(gain.stacked(), [[[1.0, 2.0], [3.0, 4.0]], np.eye(2)])
+        assert np.array_equal(gain.blocks, [[[1.0, 2.0], [3.0, 4.0]], np.eye(2)])
+        assert isinstance(gain.blocks, np.ndarray) and gain.blocks.shape == (2, 2, 2)
+        assert gain.blocks.dtype == np.float64 and not gain.blocks.flags.writeable
 
 
 class TestBuildFormationTriples:
@@ -292,7 +294,7 @@ class TestControlEvaluator:
             for spec, dense in (
                     (ControllerSpec(Law.GRADIENT, tgt), -(rw.T @ delta)),
                     (ControllerSpec(Law.NONGRADIENT, tgt, gain),
-                     -np.matvec(gain.stacked(), local_grads).reshape(-1))):
+                     -np.matvec(gain.blocks, local_grads).reshape(-1))):
                 vel, delta = ControlEvaluator(spec).velocity_and_residuals(pts)
                 ref_vel, ref_delta = reference_velocity_and_residuals(spec, pts)
                 assert np.array_equal(vel, ref_vel)
@@ -344,7 +346,7 @@ class TestJacobianEigenvalues:
             gain = random_gain(rng, tgt.n, tgt.d)
             rw = weak_rigidity_matrix(Framework(tgt.graph, tgt.witness), tgt.triples)
             rb = barred_weak_rigidity_matrix(tgt.witness, tgt)
-            uncached = np.einsum("nij,nj...->ni...", gain.stacked(),
+            uncached = np.einsum("nij,nj...->ni...", gain.blocks,
                                  (rb.T @ rw).reshape(tgt.n, tgt.d, -1)).reshape(rw.shape[1], -1)
             assert np.array_equal(jacobian_at_target(tgt, gain), uncached)
             assert tgt._rbar_t_rw is tgt._rbar_t_rw

@@ -119,6 +119,12 @@ class TestFieldErrors:
         with pytest.raises(InputError, match="invalid JSON"):
             fileio.load_json(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(InputError, match="invalid JSON"):
+            fileio.load_json(path)
+
 
 class TestSimulationConfig:
     def test_explicit_initial(self):

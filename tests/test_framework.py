@@ -89,6 +89,21 @@ class TestTripleSet:
         with pytest.raises(InputError):
             TripleSet(((2, 1, 1), (1, 2, 2)))
 
+    @pytest.mark.parametrize("triples, label", [
+        (((2**70, 1, 1),), 2**70),
+        (((2, 1, 1), (1, -2**63 - 1, 2)), -2**63 - 1),
+        (np.array([[2, 1, 1], [2**63 + 1, 1, 1]], dtype=np.uint64), 2**63 + 1),
+    ])
+    def test_label_outside_int64_rejected(self, triples, label):
+        with pytest.raises(InputError, match=f"triple .*{label}.* outside the int64 range"):
+            TripleSet(triples)
+
+    def test_earlier_bad_triple_wins_over_a_label_out_of_range(self):
+        for triples in (((1, 3, 2), (2**64, 1, 1)),
+                        np.array([[1, 3, 2], [2**64 - 1, 1, 1]], dtype=np.uint64)):
+            with pytest.raises(InputError, match=r"triple \(1,3,2\) must have legs ordered"):
+                TripleSet(triples)
+
     def test_noncanonical_distance_allowed(self):
         ts = TripleSet(((1, 3, 3),))
         assert ts.triples == ((1, 3, 3),)

@@ -5,7 +5,9 @@ the graphical test, the rank tests, the tree and the 2n-3 set, shape
 recovery, congruence, the stability classifier and the gain search. The
 collinearity verdicts (graphical test, tree, 2n-3 set) hold still over
 k in [-1000, 1000], near both ends of the float range, and the full-span
-test (``numerical_rank`` of the centered points) over k in [-600, 600]."""
+test (``numerical_rank`` of the centered points) over k in [-600, 600].
+At its own witness, at any such scale, each closed loop is at an exact
+equilibrium: the residuals and the velocity are zero."""
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from conftest import DESIGNED_GAIN_DIAGS, HEXAGON_EDGES, HEXAGON_POINTS  # noqa:
 from helpers import random_connected_graph, same_gain_bits, spans_full_dimension  # noqa: E402
 from weakrig import (  # noqa: E402
     Configuration,
+    ControlEvaluator,
+    ControllerSpec,
     DomainError,
     FormationTarget,
     Framework,
@@ -33,6 +37,7 @@ from weakrig import (  # noqa: E402
     is_infinitesimally_rigid,
     is_infinitesimally_weakly_rigid,
     jacobian_at_target,
+    Law,
     min_iwr_spanning_tree,
     minimal_triple_set,
     recover_shape,
@@ -183,3 +188,21 @@ def test_stability_verdicts_are_scale_free(k):
 def test_first_stabilizing_gain_is_scale_free(k, seed):
     assert same_gain_bits(gain_search(_hexagon_target(1.0), 250, seed),
                           gain_search(_hexagon_target(2.0**k), 250, seed))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.integers(-30, 30))
+def test_witness_is_an_exact_equilibrium(seed, d, k):
+    """The target values and the closed loop take their dot products with one
+    kernel, so at the witness every residual, and both laws' velocity under a
+    random full gain, is exactly zero."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    graph = random_connected_graph(rng, n, extra_prob=0.5)
+    witness = Configuration(rng.uniform(-1.0, 1.0, (n, d)) * 2.0**k)
+    tgt = FormationTarget(graph, full_triple_set(graph), witness)
+    gain = GainMatrix(rng.uniform(-1.5, 1.5, (n, d, d)))
+    for spec in (ControllerSpec(Law.GRADIENT, tgt), ControllerSpec(Law.NONGRADIENT, tgt, gain)):
+        ev = ControlEvaluator(spec)
+        assert not ev.residuals(witness.points).any()
+        assert not ev.velocity(witness.points).any()

@@ -98,6 +98,20 @@ class TestIntegrate:
         assert drift <= 1e-12
         assert np.max(trace.cost) <= 1e-20
 
+    def test_generic_witness_is_stationary(self):
+        """The hexagon above is exact under any dot kernel; a generic 3-D
+        witness is an equilibrium only if the target values and the closed
+        loop share one, and then neither law moves it at all."""
+        tgt = random_target(np.random.default_rng(5), n=5, d=3)
+        for spec in (ControllerSpec(Law.GRADIENT, tgt),
+                     ControllerSpec(Law.NONGRADIENT, tgt,
+                                    random_gain(np.random.default_rng(6), 5, 3))):
+            trace = integrate(SimulationConfig(tgt.witness, spec, t_max=1.0, stop_cost=0.0))
+            assert trace.termination == "t_max"
+            assert np.array_equal(trace.positions,
+                                  np.broadcast_to(tgt.witness.points, trace.positions.shape))
+            assert not trace.cost.any()
+
     def test_hexagon_run_converges(self, hexagon_target, designed_gain):
         cfg = hexagon_run_config(hexagon_target, designed_gain, seed=1)
         trace = integrate(cfg)

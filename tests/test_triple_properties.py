@@ -50,7 +50,6 @@ from weakrig import (  # noqa: E402
 )
 from weakrig import triples as triples_module  # noqa: E402
 from weakrig.graphs import _bfs  # noqa: E402
-from weakrig.linalg import _dot  # noqa: E402
 
 
 def _outcome(fn, *args):
@@ -280,17 +279,27 @@ def test_stacked_collinearity_matches_scalar(pair):
         assert are_collinear(u.reshape(shape), v.reshape(shape)).ravel().tolist() == expected
 
 
+@given(st.sampled_from((2, 3)).flatmap(vector_pairs), st.data())
+def test_stacked_collinearity_is_per_pair_across_scales(pair, data):
+    """Each vector is scaled by its own power of two, so in a stack whose
+    magnitudes span 2^±500 every pair is decided as its 1-D call decides it."""
+    rng = _rng(data.draw)
+    u, v = (np.ldexp(x, rng.integers(-500, 501, (x.shape[0], 1))) for x in pair)
+    assert are_collinear(u, v).tolist() == [are_collinear(a, b) for a, b in zip(u, v)]
+
+
 @given(st.integers(1, 100),
        st.one_of(st.just(()), st.tuples(st.integers(1, 20)),
                  st.tuples(st.integers(1, 6), st.integers(1, 6))), st.data())
 def test_stacked_dot_rounds_as_1d_matmul(length, lead, data):
-    """Each dot product over the last axis is the float a 1-D ``u @ v``
-    gives, for any stack shape; the magnitudes span 2^±30 so the summation
-    order shows in the last bits."""
+    """``np.vecdot``, the kernel of the constraint values, ``edm`` and the
+    closed loop: each dot product over the last axis is the float a 1-D
+    ``u @ v`` gives, for any stack shape; the magnitudes span 2^±30 so the
+    summation order shows in the last bits."""
     rng = _rng(data.draw)
     u, v = rng.standard_normal((2,) + lead + (length,)) \
         * np.exp2(rng.integers(-30, 31, (2,) + lead + (length,)))
-    got = _dot(u, v)
+    got = np.vecdot(u, v)
     expected = [a @ b for a, b in zip(u.reshape(-1, length), v.reshape(-1, length))]
     assert np.shape(got) == lead
     assert np.asarray(got).ravel().tobytes() == np.array(expected).tobytes()
