@@ -26,7 +26,7 @@ _NAMES = {  # module: the public names it defines
         "rigidity_matrix", "trivial_motion_basis", "weak_rigidity_function",
         "weak_rigidity_matrix",
     ),
-    "graphs": ("Graph", "incidence", "is_connected", "spanning_tree"),
+    "graphs": ("Graph", "is_connected", "spanning_tree"),
     "linalg": ("are_collinear", "numerical_rank"),
     "shape": (
         "congruent", "edge_vector_matrix", "edm", "gram", "recover_shape", "shape_distance",

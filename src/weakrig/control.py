@@ -47,13 +47,16 @@ class GainMatrix:
     blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = [np.array(b, dtype=float) for b in self.blocks]
+        blocks = [np.asarray(b) for b in self.blocks]
         if not blocks:
             raise InputError("gain needs at least one block")
         d = blocks[0].shape[0] if blocks[0].ndim else 0
         # the blocks up to the first that is not d x d, which fails after them
         k = next((c for c, b in enumerate(blocks) if b.shape != (d, d)), len(blocks))
         stack = np.array(blocks[:k])
+        if stack.dtype.kind == "c":
+            raise InputError("gain blocks must be real")
+        stack = stack.astype(float, copy=False)
         if not np.isfinite(stack).all():
             raise InputError("gain blocks must be finite")
         if k < len(blocks):

@@ -58,7 +58,7 @@ def graph_from_dict(obj: dict) -> Graph:
     n = _get(obj, "n", int, "the vertex count, a positive integer")
     edges = _get(obj, "edges", list, "a list of [i, j] pairs")
     try:
-        return Graph(n, tuple(tuple(e) for e in edges))
+        return Graph(n, edges)
     except (InputError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"field 'edges': {exc}") from exc
 
@@ -81,7 +81,7 @@ def framework_from_dict(obj: dict) -> Framework:
 def triples_from_dict(obj: dict) -> TripleSet:
     trips = _get(obj, "triples", list, "a list of [i, j, k] triples")
     try:
-        return TripleSet(tuple(tuple(t) for t in trips))
+        return TripleSet(trips)
     except (InputError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"field 'triples': {exc}") from exc
 

@@ -30,7 +30,10 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points)
+        if pts.dtype.kind == "c":
+            raise InputError("points must be real")
+        pts = pts.astype(float, copy=False)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InputError("points must be a nonempty (n, d) array")
         if not np.all(np.isfinite(pts)):
@@ -45,17 +48,6 @@ class Configuration:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def stacked(self) -> np.ndarray:
-        """Coordinates as one vector (p_1^T, ..., p_n^T)^T of length n*d."""
-        return self.points.reshape(-1).copy()
-
-    @classmethod
-    def from_stacked(cls, vec, d: int) -> "Configuration":
-        vec = np.asarray(vec, dtype=float)
-        if d < 1 or vec.ndim != 1 or vec.size % d != 0:
-            raise InputError("stacked vector length must be a multiple of d")
-        return cls(vec.reshape(-1, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,28 +83,21 @@ class TripleSet:
     """Ordered constraint triples; order fixes the component order of the
     constraint function and the rows of the weak rigidity matrix.
 
-    Built from a sequence of (i, j, k) triples or an (s, 3) integer array and
-    immutable. A set is invalid if a triple has legs out of order (j > k), an
+    Built from a sequence of (i, j, k) triples of integer labels or an (s, 3)
+    integer array, and immutable. A set is invalid if a triple has legs out of order (j > k), an
     apex equal to a leg, or repeats an earlier constraint (a distance triple
     stands for its unordered edge); the error names the first such triple.
     """
 
     def __init__(self, triples):
-        err = None
-        if (isinstance(triples, np.ndarray) and triples.dtype.kind in "iu"
-                and triples.ndim == 2 and triples.shape[1] == 3):
-            arr = triples
-        else:
-            rows, err = _int_rows(triples, 3, "triple {!r} is not an (i, j, k) triple")
-            arr = np.array(rows, dtype=object).reshape(-1, 3)
-            self.__dict__["triples"] = tuple(rows)
+        arr, err = _int_rows(triples, 3, "triple", "an (i, j, k) triple")
         if arr.dtype != np.int64:  # a uint64 or Python int label can leave the int64 range
             big = np.flatnonzero(((arr < -2**63) | (arr >= 2**63)).any(axis=1))
             if big.size:  # that ends the set like a malformed triple
                 err = InputError("triple ({},{},{}) has a label outside the int64 range"
                                  .format(*arr[big[0]]))
                 arr = arr[:big[0]]
-        arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64, copy=False)
         _require_valid_triples(arr)
         if err is not None:
             raise err

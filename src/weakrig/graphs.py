@@ -8,6 +8,7 @@ is reproducible byte for byte; rigidity ranks do not depend on orientation.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,21 +16,40 @@ import numpy as np
 from .errors import DomainError, InputError
 
 
-def _int_rows(items, width: int, malformed: str):
-    """Integer rows of ``items``, converted one entry at a time until the
-    first malformed one. Returns the rows and the error that entry raised, or
-    None; callers check the rows before it and raise the error only if they
-    pass. ``malformed`` is the message for an entry of the wrong length."""
-    rows = []
+def _int_rows(items, width: int, noun: str, shape: str):
+    """``items`` as an (m, width) integer array, and None. Input that numpy does
+    not type as integer rows of that width is read one entry at a time, with
+    ``operator.index``, up to its first malformed entry: then the rows before
+    it and the error it raised are returned. Callers check those rows and raise
+    the error only if they pass. The array keeps an integer input's dtype, and
+    holds a label beyond int64 as uint64 or object, so callers check the range
+    before they cast to int64."""
+    try:
+        arr = np.array(items)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.dtype.kind in "iu" and arr.ndim == 2 and arr.shape[1] == width:
+        return arr, None
+    rows, err = [], None
     for t in items:
         try:
-            row = tuple(int(v) for v in t)
-            if len(row) != width:
-                raise InputError(malformed.format(t))
-        except (TypeError, ValueError, OverflowError) as exc:
-            return rows, exc
-        rows.append(row)
-    return rows, None
+            labels = tuple(t)
+        except TypeError as exc:  # an entry that is not a sequence
+            err = exc
+            break
+        try:
+            rows.append(tuple(map(operator.index, labels)))
+        except TypeError:
+            err = InputError(f"{noun} {labels!r} has a non-integer label")
+            break
+        if len(rows[-1]) != width:
+            err = InputError(f"{noun} {rows.pop()!r} is not {shape}")
+            break
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(rows, dtype=object)
+    return arr.reshape(-1, width), err
 
 
 def _raise_first_failing(arr: np.ndarray, checks) -> None:
@@ -51,17 +71,14 @@ class Graph:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise InputError("vertex count n must be a positive integer")
         n = int(self.n)
-        rows, err = _int_rows(self.edges, 2, "edge {!r} is not a pair")
-        try:
-            ends = np.array(rows, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:  # such an end fails the range check below
-            ends = np.array(rows, dtype=object).reshape(-1, 2)
-        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        ends, err = _int_rows(self.edges, 2, "edge", "a pair")
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
         _raise_first_failing(ends, ((lo == hi, "self-loop at vertex {}"),
                                     ((lo < 1) | (hi > n),
                                      f"edge ({{}},{{}}) has an endpoint outside 1..{n}")))
         if err is not None:
             raise err
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         # the key a*n + b of each edge (a, b), 0-based with a < b; ascending
         # keys list the canonical edges in order
         keys = np.sort((lo - 1) * n + hi - 1)
@@ -140,17 +157,10 @@ def is_connected(g: Graph) -> bool:
     return _bfs(g)[0].size == g.n
 
 
-def incidence(g: Graph) -> np.ndarray:
-    """(m, n) incidence matrix; row per canonical edge with -1 at i, +1 at j."""
-    h = np.zeros((g.m, g.n))
-    h[np.arange(g.m)[:, None], np.stack(g._ends, axis=1)] = (-1.0, 1.0)
-    return h
-
-
 def spanning_tree(g: Graph) -> Graph:
     """BFS tree from vertex 1, visiting neighbors in ascending order."""
     order, parent = _bfs(g)
     if order.size < g.n:
         raise DomainError("spanning tree requires a connected graph")
     child = order[1:]
-    return Graph(g.n, tuple(zip((parent[child] + 1).tolist(), (child + 1).tolist())))
+    return Graph(g.n, np.stack([parent[child], child], axis=1) + 1)

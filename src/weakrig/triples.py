@@ -116,7 +116,7 @@ def min_iwr_spanning_tree(f: Framework) -> Graph:
             for p in [*range(lo[tail[h]], lo[tail[h] + 1]), *range(lo[head[h]], lo[head[h] + 1])]:
                 if not (usable[p] or in_tree[head[p]]):
                     heapq.heappush(heap, (edge[p], p))
-    return Graph(g.n, tuple(g.edges[e] for e in tree))
+    return Graph(g.n, np.stack(g._ends, axis=1)[tree] + 1)
 
 
 def minimal_triple_set(tree: Graph, c: Configuration) -> TripleSet:

@@ -1,6 +1,7 @@
 """Shared generators and finite-difference oracles for the test suite."""
 
 import math
+import operator
 from collections import deque
 
 import numpy as np
@@ -97,6 +98,16 @@ def fd_jacobian(func, x, h=1e-6):
         step[i] = h
         cols.append((func(x + step) - func(x - step)) / (2.0 * h))
     return np.array(cols).T
+
+
+def stacked(c):
+    """Coordinates as one vector (p_1^T, ..., p_n^T)^T of length n*d."""
+    return c.points.reshape(-1).copy()
+
+
+def from_stacked(vec, d):
+    """The configuration whose stacked coordinate vector is ``vec``."""
+    return Configuration(np.asarray(vec, dtype=float).reshape(-1, d))
 
 
 def rel_err(a, b):
@@ -340,15 +351,29 @@ def reference_full_triple_set(g):
     return tuple(sorted(trips))
 
 
+def reference_int_row(t, width, noun, shape):
+    """One entry's labels, each read with ``operator.index``, or the InputError
+    for a non-integer label or the wrong width. An entry that is not a
+    sequence raises TypeError."""
+    labels = tuple(t)
+    try:
+        row = tuple(operator.index(v) for v in labels)
+    except TypeError:
+        raise InputError(f"{noun} {labels!r} has a non-integer label") from None
+    if len(row) != width:
+        raise InputError(f"{noun} {row!r} is not {shape}")
+    return row
+
+
 def reference_validate_triples(triples):
     """Per-triple checks in input order; canonical int tuples or InputError."""
     canon = []
     seen = set()
     for t in triples:
-        trip = tuple(int(v) for v in t)
-        if len(trip) != 3:
-            raise InputError(f"triple {t!r} is not an (i, j, k) triple")
+        trip = reference_int_row(t, 3, "triple", "an (i, j, k) triple")
         i, j, k = trip
+        if not all(-2**63 <= v < 2**63 for v in trip):
+            raise InputError(f"triple ({i},{j},{k}) has a label outside the int64 range")
         if j > k:
             raise InputError(f"triple ({i},{j},{k}) must have legs ordered j <= k")
         if i == j or i == k:
@@ -411,10 +436,7 @@ def reference_graph_edges(n, edges):
     order; duplicates are reported only once every edge is valid."""
     canon = []
     for e in edges:
-        pair = tuple(int(v) for v in e)
-        if len(pair) != 2:
-            raise InputError(f"edge {e!r} is not a pair")
-        i, j = pair
+        i, j = reference_int_row(e, 2, "edge", "a pair")
         if i == j:
             raise InputError(f"self-loop at vertex {i}")
         if not (1 <= i <= n and 1 <= j <= n):

@@ -17,6 +17,7 @@ from conftest import EIGS_DESIGNED_GAIN, EIGS_IDENTITY_GAIN
 from helpers import (
     fd_gradient,
     fd_jacobian,
+    from_stacked,
     local_cost,
     random_connected_graph,
     random_framework,
@@ -273,7 +274,7 @@ def test_criterion_9_differential_consistency():
         rw = weak_rigidity_matrix(Framework(fw.graph, p), tgt.triples)
         fd_rw = fd_jacobian(
             lambda x: weak_rigidity_function(
-                Framework(fw.graph, Configuration.from_stacked(x, 2)), tgt.triples),
+                Framework(fw.graph, from_stacked(x, 2)), tgt.triples),
             flat)
         worst = max(worst, rel_err(rw, fd_rw))
 
@@ -281,7 +282,7 @@ def test_criterion_9_differential_consistency():
         fd_barred = np.concatenate([
             fd_gradient(
                 lambda x, i=i: local_cost(
-                    i, Configuration.from_stacked(
+                    i, from_stacked(
                         np.concatenate([flat[:(i - 1) * 2], x, flat[i * 2:]]), 2),
                     tgt),
                 pts[i - 1])
@@ -291,7 +292,7 @@ def test_criterion_9_differential_consistency():
 
         u_grad = ControlEvaluator(ControllerSpec(Law.GRADIENT, tgt)).velocity(pts).reshape(-1)
         fd_grad = -fd_gradient(
-            lambda x: total_cost(Configuration.from_stacked(x, 2), tgt), flat)
+            lambda x: total_cost(from_stacked(x, 2), tgt), flat)
         worst = max(worst, rel_err(u_grad, fd_grad))
 
         u_non = ControlEvaluator(ControllerSpec(Law.NONGRADIENT, tgt, gain)).velocity(pts)

@@ -136,6 +136,18 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith(f"input error: field '{field}': ")
 
+    def test_non_integer_label_exits_two(self, tmp_path, capsys):
+        """The edge [1, 2.7] is not read as [1, 2]: the file describes no graph
+        to answer for."""
+        fw = tmp_path / "fw.json"
+        fw.write_text(json.dumps({"n": 3, "edges": [[1, 2.7], [2, 3], [1, 3]], "d": 2,
+                                  "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}))
+        assert main(["check", str(fw), "--mode", "rigid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'edges': "
+                                "edge (1, 2.7) has a non-integer label\n")
+
     @pytest.mark.parametrize("mode, code", [("weak", 0), ("rigid", 1), ("tree", 0)])
     def test_rank_forms_no_dense_matrix(self, hexagon_file, monkeypatch, mode, code):
         def refuse(op, pts):

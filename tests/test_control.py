@@ -4,6 +4,7 @@ import pytest
 from conftest import EIGS_DESIGNED_GAIN, EIGS_IDENTITY_GAIN
 from helpers import (
     fd_gradient,
+    from_stacked,
     local_cost,
     random_framework,
     random_triple_subset,
@@ -93,6 +94,10 @@ class TestGainMatrix:
         ((np.eye(2), np.ones((2, 2, 2))), "gain blocks must be square matrices"),
         ((np.eye(2), [[np.inf]]), "gain blocks must share one dimension"),
         ((np.eye(2), NAN_BLOCK, np.eye(3)), "gain blocks must be finite"),
+        # a complex block is refused, never cast to its real part
+        ((np.eye(2), np.eye(2) * (1 + 2j)), "gain blocks must be real"),
+        (([[1, 0], [0, 1j]],), "gain blocks must be real"),
+        ((np.eye(2) * 1j, np.eye(3)), "gain blocks must be real"),
     ])
     def test_each_message_and_which_wins(self, blocks, message):
         with pytest.raises(InputError) as exc:
@@ -106,6 +111,12 @@ class TestGainMatrix:
         assert np.array_equal(gain.blocks, [[[1.0, 2.0], [3.0, 4.0]], np.eye(2)])
         assert isinstance(gain.blocks, np.ndarray) and gain.blocks.shape == (2, 2, 2)
         assert gain.blocks.dtype == np.float64 and not gain.blocks.flags.writeable
+
+    def test_keeps_its_own_copy(self):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        gain = GainMatrix(stack)
+        stack[0, 0, 0] = 9.0
+        assert np.array_equal(gain.blocks, [np.eye(2), 2.0 * np.eye(2)])
 
 
 class TestBuildFormationTriples:
@@ -183,7 +194,7 @@ class TestGradientControl:
             p0 = rng.uniform(-1, 1, (tgt.n, tgt.d))
 
             def cost_of(x, tgt=tgt, d=tgt.d):
-                return total_cost(Configuration.from_stacked(x, d), tgt)
+                return total_cost(from_stacked(x, d), tgt)
 
             u = velocity(Configuration(p0), tgt).reshape(-1)
             fd = -fd_gradient(cost_of, p0.reshape(-1))
@@ -222,7 +233,7 @@ class TestBarredMatrix:
             fd = np.concatenate([
                 fd_gradient(
                     lambda x, i=i: local_cost(
-                        i, Configuration.from_stacked(
+                        i, from_stacked(
                             np.concatenate([p0.reshape(-1)[:(i - 1) * tgt.d], x,
                                             p0.reshape(-1)[i * tgt.d:]]), tgt.d), tgt),
                     p0[i - 1],
@@ -259,7 +270,7 @@ class TestNongradientControl:
         for i in range(1, 7):
             def vi(x, i=i):
                 full = np.concatenate([flat[:(i - 1) * 2], x, flat[i * 2:]])
-                return local_cost(i, Configuration.from_stacked(full, 2), hexagon_target)
+                return local_cost(i, from_stacked(full, 2), hexagon_target)
 
             expected = -designed_gain.blocks[i - 1] @ fd_gradient(vi, p0[i - 1])
             assert rel_err(u[i - 1], expected) < 1e-6

@@ -5,15 +5,18 @@ import pytest
 
 from helpers import (
     fd_jacobian,
+    from_stacked,
     random_connected_graph,
     random_framework,
     random_triple_subset,
     reference_edge_weak_rigidity_matrix,
+    reference_incidence,
     reference_rigidity_matrix,
     reference_trivial_motion_basis,
     reference_weak_rigidity_matrix,
     rel_err,
     spans_full_dimension,
+    stacked,
 )
 from weakrig import (
     Configuration,
@@ -29,7 +32,6 @@ from weakrig import (
     edge_weak_rigidity_matrix,
     edm,
     full_triple_set,
-    incidence,
     is_infinitesimally_rigid,
     is_infinitesimally_weakly_rigid,
     numerical_rank,
@@ -54,13 +56,20 @@ class TestConfiguration:
         with pytest.raises(InputError):
             Configuration(np.array([[0.0, np.inf]]))
 
+    @pytest.mark.parametrize("points", [np.array([[1 + 2j, 0], [0, 1]]),
+                                        [[1.0, 0.0], [0.0, 1j]]])
+    def test_rejects_complex(self, points):
+        """The imaginary part is never dropped in a cast to float."""
+        with pytest.raises(InputError, match="points must be real"):
+            Configuration(points)
+
     def test_rejects_flat_vector(self):
         with pytest.raises(InputError):
             Configuration(np.arange(4.0))
 
     def test_stacked_roundtrip(self):
         c = Configuration(np.arange(6.0).reshape(3, 2))
-        assert np.array_equal(Configuration.from_stacked(c.stacked(), 2).points, c.points)
+        assert np.array_equal(from_stacked(stacked(c), 2).points, c.points)
 
     def test_immutable(self):
         c = Configuration(np.zeros((2, 2)))
@@ -103,6 +112,20 @@ class TestTripleSet:
                         np.array([[1, 3, 2], [2**64 - 1, 1, 1]], dtype=np.uint64)):
             with pytest.raises(InputError, match=r"triple \(1,3,2\) must have legs ordered"):
                 TripleSet(triples)
+
+    @pytest.mark.parametrize("triples, message", [
+        (((2, 1.5, 3),), "triple (2, 1.5, 3) has a non-integer label"),
+        ([[2, 1, 1], [1, "2", 3]], "triple (1, '2', 3) has a non-integer label"),
+        (((2, 1, 1), (1, 3, 2), (1, 2, None)), "triple (1,3,2) must have legs ordered j <= k"),
+        (np.array([[2, 1, 1], [1, 2, 3]], dtype=float),
+         "triple (np.float64(2.0), np.float64(1.0), np.float64(1.0)) has a non-integer label"),
+    ])
+    def test_non_integer_label_rejected(self, triples, message):
+        """A label is read by operator.index, never truncated; an earlier bad
+        triple is still reported first."""
+        with pytest.raises(InputError) as err:
+            TripleSet(triples)
+        assert str(err.value) == message
 
     def test_noncanonical_distance_allowed(self):
         ts = TripleSet(((1, 3, 3),))
@@ -219,9 +242,9 @@ class TestRigidityMatrix:
             fw = random_framework(rng, 5, 2 + trial % 2)
 
             def func(x, g=fw.graph, d=fw.d):
-                return squared_edge_lengths(Framework(g, Configuration.from_stacked(x, d)))
+                return squared_edge_lengths(Framework(g, from_stacked(x, d)))
 
-            fd = fd_jacobian(func, fw.config.stacked())
+            fd = fd_jacobian(func, stacked(fw.config))
             assert rel_err(rigidity_matrix(fw), fd) < 1e-6
             assert np.array_equal(rigidity_matrix(fw), reference_rigidity_matrix(fw))
 
@@ -255,9 +278,9 @@ class TestWeakRigidityMatrix:
             ts = random_triple_subset(rng, fw.graph)
 
             def func(x, g=fw.graph, d=fw.d, t=ts):
-                return weak_rigidity_function(Framework(g, Configuration.from_stacked(x, d)), t)
+                return weak_rigidity_function(Framework(g, from_stacked(x, d)), t)
 
-            fd = fd_jacobian(func, fw.config.stacked())
+            fd = fd_jacobian(func, stacked(fw.config))
             assert rel_err(weak_rigidity_matrix(fw, ts), fd) < 1e-6
             assert np.array_equal(weak_rigidity_matrix(fw, ts),
                                   reference_weak_rigidity_matrix(fw, ts))
@@ -284,7 +307,7 @@ class TestEdgeMatrix:
             ts = random_triple_subset(rng, fw.graph)
             kept = restrict_triples_to_tree(tree, ts)
             re = edge_weak_rigidity_matrix(fw, tree, ts)
-            h_bar = np.kron(incidence(tree), np.eye(fw.d))
+            h_bar = np.kron(reference_incidence(tree), np.eye(fw.d))
             rw = weak_rigidity_matrix(fw, kept)
             assert np.max(np.abs(re @ h_bar - rw)) < 1e-12 * max(1.0, np.max(np.abs(rw)))
             assert np.array_equal(re, reference_edge_weak_rigidity_matrix(fw, tree, ts))

@@ -7,7 +7,7 @@ from helpers import (
     reference_incidence,
     reference_spanning_tree,
 )
-from weakrig import DomainError, Graph, InputError, incidence, is_connected, spanning_tree
+from weakrig import DomainError, Graph, InputError, is_connected, spanning_tree
 
 
 def random_graphs(seed, count):
@@ -45,6 +45,30 @@ class TestGraphValidation:
     def test_bad_vertex_count(self):
         with pytest.raises(InputError):
             Graph(0, ())
+
+    @pytest.mark.parametrize("edges, message", [
+        (((1, 2.7), (2, 3)), "edge (1, 2.7) has a non-integer label"),
+        (((1, 2), (2.0, 3)), "edge (2.0, 3) has a non-integer label"),
+        ([[1, 2], ["2", 3]], "edge ('2', 3) has a non-integer label"),
+        (np.array([[1.0, 2.0]]), "edge (np.float64(1.0), np.float64(2.0)) has a non-integer label"),
+        (((1, 5), (1, 2.5)), "edge (1,5) has an endpoint outside 1..3"),
+    ])
+    def test_non_integer_label_rejected(self, edges, message):
+        """A label is read by operator.index, never truncated; an earlier bad
+        edge is still reported first."""
+        with pytest.raises(InputError) as err:
+            Graph(3, edges)
+        assert str(err.value) == message
+
+    def test_integer_labels_of_any_kind_accepted(self):
+        expected = ((1, 2), (2, 3))
+        for edges in (((True, 2), (np.int8(3), 2)), np.array([[2, 1], [3, 2]], dtype=np.int32)):
+            g = Graph(3, edges)
+            assert g.edges == expected
+            assert all(type(v) is int for e in g.edges for v in e)
+            assert g._keys.dtype == np.int64 and g._ends[0].dtype == np.int64
+        # keys are formed in int64 whatever the input's width
+        assert Graph(300, np.array([[127, 120]], dtype=np.int8))._keys.tolist() == [119 * 300 + 126]
 
 
 class TestNeighbors:
@@ -88,18 +112,18 @@ class TestIsConnected:
                 # drop a cut-ish subset of edges to sometimes disconnect
                 keep = [e for e in g.edges if rng.random() < 0.6]
                 g = Graph(n, tuple(keep))
-            rank = np.linalg.matrix_rank(incidence(g)) if g.m else 0
+            rank = np.linalg.matrix_rank(reference_incidence(g)) if g.m else 0
             assert is_connected(g) == (rank == n - 1)
 
 
 class TestIncidence:
     def test_single_edge(self):
-        h = incidence(Graph(2, ((1, 2),)))
+        h = reference_incidence(Graph(2, ((1, 2),)))
         assert h.shape == (1, 2)
         assert np.array_equal(h, [[-1.0, 1.0]])
 
     def test_row_structure(self, hexagon_graph):
-        h = incidence(hexagon_graph)
+        h = reference_incidence(hexagon_graph)
         assert h.shape == (5, 6)
         for row in h:
             assert np.sum(row == 1.0) == 1
@@ -107,14 +131,18 @@ class TestIncidence:
             assert np.sum(row == 0.0) == len(row) - 2
 
     def test_hexagon_rank(self, hexagon_graph):
-        assert np.linalg.matrix_rank(incidence(hexagon_graph)) == 5
+        assert np.linalg.matrix_rank(reference_incidence(hexagon_graph)) == 5
 
     def test_disconnected_rank(self):
-        assert np.linalg.matrix_rank(incidence(Graph(4, ((1, 2), (3, 4))))) == 2
+        assert np.linalg.matrix_rank(reference_incidence(Graph(4, ((1, 2), (3, 4))))) == 2
 
     def test_matches_reference_loop(self):
+        """The 0-based end arrays the library reads give the per-edge loop's
+        incidence matrix: row per canonical edge, -1 at i and +1 at j."""
         for g in random_graphs(24, 60):
-            assert np.array_equal(incidence(g), reference_incidence(g))
+            h = np.zeros((g.m, g.n))
+            h[np.arange(g.m)[:, None], np.stack(g._ends, axis=1)] = (-1.0, 1.0)
+            assert np.array_equal(h, reference_incidence(g))
 
     def test_rank_counts_components(self):
         rng = np.random.default_rng(23)
@@ -128,7 +156,7 @@ class TestIncidence:
                 edges += [(i + offset, j + offset) for i, j in block.edges]
                 offset += size
             g = Graph(offset, tuple(edges))
-            assert np.linalg.matrix_rank(incidence(g)) == offset - parts
+            assert np.linalg.matrix_rank(reference_incidence(g)) == offset - parts
 
 
 class TestSpanningTree:

@@ -248,6 +248,88 @@ def test_graph_matches_per_edge_loop(case):
         assert (order.tolist(), parent.tolist()) == reference_bfs(g)
 
 
+MALFORMED = ("float", "string", "width", "loop", "range", "duplicate", "beyond int64")
+
+
+@st.composite
+def conversion_cases(draw, width):
+    """(n, rows, container): the edges (width 2) or admissible triples (width
+    3) of a random graph on 1..n, shuffled, with at most one malformed entry
+    at a random position, and a container that can hold them all: a tuple of
+    tuples, a list of lists, a generator, an int64 or uint64 array, or the
+    empty list."""
+    n = draw(st.integers(1, 12))
+    rng = _rng(draw)
+    g = dense_graph(rng, n, p=draw(st.sampled_from((0.0, 0.3, 1.0))))
+    rows = list(g.edges if width == 2 else reference_full_triple_set(g))
+    rng.shuffle(rows)
+    rows = rows[:draw(st.integers(0, len(rows)))]
+    kind = draw(st.sampled_from((None, *MALFORMED)))
+    base = rows[rng.integers(len(rows))] if rows else tuple(range(1, width + 1))
+    v = int(rng.integers(1, n + 1))
+    bad = {
+        "float": base[:-1] + (base[-1] + float(rng.choice([0.0, 0.5])),),
+        "string": (str(base[0]),) + base[1:],
+        "width": base + (v,) if rng.random() < 0.5 else base[:-1],
+        "loop": (v,) * width,
+        "range": base[:-1] + (int(rng.choice([0, -1, n + 1])),),
+        "duplicate": base[::-1] if width == 2 else base,
+        "beyond int64": base[:-1] + (int(rng.choice([2**63, 2**64 - 1, 10**30, -(2**63) - 1])),),
+    }.get(kind)
+    if bad is not None:
+        rows.insert(int(rng.integers(len(rows) + 1)), bad)
+    containers = ["tuples", "lists", "generator"]
+    if kind not in ("float", "string", "width"):
+        labels = [x for r in rows for x in r]
+        containers += [c for c, lo, hi in (("int64", -(2**63), 2**63), ("uint64", 0, 2**64))
+                       if all(lo <= x < hi for x in labels)]
+    if not rows:
+        containers.append("empty")
+    return n, rows, draw(st.sampled_from(containers))
+
+
+def _contain(rows, container, width):
+    if container == "tuples":
+        return tuple(map(tuple, rows))
+    if container == "lists":
+        return [list(r) for r in rows]
+    if container == "generator":
+        return (tuple(r) for r in rows)
+    if container == "empty":
+        return []
+    return np.array(rows, dtype=np.dtype(container)).reshape(-1, width)
+
+
+@given(conversion_cases(2))
+def test_graph_conversion_routes_agree(case):
+    """One numpy conversion, or the per-entry pass for what it cannot type,
+    gives the per-edge reference's edges and keys or its error text."""
+    n, rows, container = case
+    expected = _outcome(reference_graph_edges, n, rows)
+    try:
+        g = Graph(n, _contain(rows, container, 2))
+    except InputError as exc:
+        assert f"InputError: {exc}" == expected
+        return
+    assert g.edges == expected
+    assert g._keys.dtype == np.int64
+    assert g._keys.tolist() == [(i - 1) * n + j - 1 for i, j in expected]
+
+
+@given(conversion_cases(3))
+def test_triple_set_conversion_routes_agree(case):
+    """As for graphs: the per-triple reference's rows or its error text."""
+    _, rows, container = case
+    expected = _outcome(reference_validate_triples, rows)
+    try:
+        t = TripleSet(_contain(rows, container, 3))
+    except InputError as exc:
+        assert f"InputError: {exc}" == expected
+        return
+    assert t._arr.dtype == np.int64 and t._arr.shape == (len(expected), 3)
+    assert t._arr.tolist() == [list(r) for r in expected]
+
+
 @st.composite
 def vector_pairs(draw, d):
     """(k, d) stacks u, v: pairs 1e-10..1e-7 of their length off a common line,
