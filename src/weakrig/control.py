@@ -54,7 +54,7 @@ class GainMatrix:
         # the blocks up to the first that is not d x d, which fails after them
         k = next((c for c, b in enumerate(blocks) if b.shape != (d, d)), len(blocks))
         stack = np.array(blocks[:k])
-        if stack.dtype.kind == "c":
+        if stack.dtype.kind not in "biuf":  # as for Configuration
             raise InputError("gain blocks must be real")
         stack = stack.astype(float, copy=False)
         if not np.isfinite(stack).all():

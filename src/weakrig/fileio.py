@@ -1,8 +1,8 @@
 """JSON and CSV input/output for every structured object the CLI touches.
 
-Readers raise InputError naming the offending field; writers emit floats with
-9 significant digits. Every JSON format written here is accepted unchanged by
-the matching reader.
+Readers pick fields, the constructors convert them, and their errors become
+InputErrors naming the field; writers emit floats with 9 significant digits.
+Every JSON format written here is accepted unchanged by the matching reader.
 """
 
 from __future__ import annotations
@@ -54,13 +54,19 @@ def _get(obj: dict, key: str, kind, what: str):
     raise InputError(f"field '{key}' must be {what}")
 
 
+def _build(field: str, cls, *args):
+    """``cls(*args)``; the ValueError it raises (an InputError, or NumPy's on
+    ragged rows) becomes an InputError naming ``field``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise InputError(f"field '{field}': {exc}") from exc
+
+
 def graph_from_dict(obj: dict) -> Graph:
     n = _get(obj, "n", int, "the vertex count, a positive integer")
     edges = _get(obj, "edges", list, "a list of [i, j] pairs")
-    try:
-        return Graph(n, edges)
-    except (InputError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"field 'edges': {exc}") from exc
+    return _build("edges", Graph, n, edges)
 
 
 def framework_from_dict(obj: dict) -> Framework:
@@ -69,10 +75,7 @@ def framework_from_dict(obj: dict) -> Framework:
     points = _get(obj, "points", list, "a list of coordinate rows")
     if len(points) != g.n:
         raise InputError(f"field 'points' must have {g.n} rows, got {len(points)}")
-    try:
-        config = Configuration(np.array(points, dtype=float))
-    except (InputError, ValueError) as exc:
-        raise InputError(f"field 'points': {exc}") from exc
+    config = _build("points", Configuration, points)
     if config.d != d:
         raise InputError(f"field 'points' rows have {config.d} coordinates, 'd' says {d}")
     return Framework(g, config)
@@ -80,10 +83,7 @@ def framework_from_dict(obj: dict) -> Framework:
 
 def triples_from_dict(obj: dict) -> TripleSet:
     trips = _get(obj, "triples", list, "a list of [i, j, k] triples")
-    try:
-        return TripleSet(trips)
-    except (InputError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"field 'triples': {exc}") from exc
+    return _build("triples", TripleSet, trips)
 
 
 def triples_to_dict(t: TripleSet) -> dict:
@@ -94,10 +94,7 @@ def gain_from_dict(obj: dict) -> GainMatrix:
     from .control import GainMatrix
 
     blocks = _get(obj, "blocks", list, "a list of d x d matrices, one per agent")
-    try:
-        return GainMatrix(tuple(np.array(b, dtype=float) for b in blocks))
-    except (InputError, ValueError) as exc:
-        raise InputError(f"field 'blocks': {exc}") from exc
+    return _build("blocks", GainMatrix, blocks)
 
 
 def gain_to_dict(k: GainMatrix) -> dict:
@@ -137,10 +134,7 @@ def simulation_config_from_dict(obj: dict) -> SimulationConfig:
                          "'perturb' and 'seed')")
     if "points" in init:
         points = _get(init, "points", list, "a list of coordinate rows")
-        try:
-            initial = Configuration(np.array(points, dtype=float))
-        except (InputError, ValueError) as exc:
-            raise InputError(f"field 'initial.points': {exc}") from exc
+        initial = _build("initial.points", Configuration, points)
     else:
         perturb = _get(init, "perturb", float, "a perturbation magnitude")
         if not (perturb >= 0.0 and math.isfinite(2.0 * perturb)):  # the draw's range width

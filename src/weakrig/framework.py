@@ -31,7 +31,7 @@ class Configuration:
 
     def __post_init__(self):
         pts = np.array(self.points)
-        if pts.dtype.kind == "c":
+        if pts.dtype.kind not in "biuf":  # str, object (None, ints past 64 bits), complex
             raise InputError("points must be real")
         pts = pts.astype(float, copy=False)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:

@@ -20,10 +20,10 @@ def _int_rows(items, width: int, noun: str, shape: str):
     """``items`` as an (m, width) integer array, and None. Input that numpy does
     not type as integer rows of that width is read one entry at a time, with
     ``operator.index``, up to its first malformed entry: then the rows before
-    it and the error it raised are returned. Callers check those rows and raise
-    the error only if they pass. The array keeps an integer input's dtype, and
-    holds a label beyond int64 as uint64 or object, so callers check the range
-    before they cast to int64."""
+    it and the InputError naming it are returned. Callers check those rows and
+    raise the error only if they pass. The array keeps an integer input's
+    dtype, and holds a label beyond int64 as uint64 or object, so callers check
+    the range before they cast to int64."""
     try:
         arr = np.array(items)
     except ValueError:  # ragged rows
@@ -34,8 +34,8 @@ def _int_rows(items, width: int, noun: str, shape: str):
     for t in items:
         try:
             labels = tuple(t)
-        except TypeError as exc:  # an entry that is not a sequence
-            err = exc
+        except TypeError:  # an entry that is not a sequence
+            err = InputError(f"{noun} {t!r} is not {shape}")
             break
         try:
             rows.append(tuple(map(operator.index, labels)))
@@ -71,6 +71,8 @@ class Graph:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise InputError("vertex count n must be a positive integer")
         n = int(self.n)
+        if n > 3_037_000_499:  # isqrt(2**63 - 1): edge keys a*n + b stay below n*n
+            raise InputError(f"vertex count n must be at most 3037000499, got {n}")
         ends, err = _int_rows(self.edges, 2, "edge", "a pair")
         lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
         _raise_first_failing(ends, ((lo == hi, "self-loop at vertex {}"),

@@ -71,6 +71,30 @@ BORDERLINE_STAR_POINTS = np.array([
 ])
 
 
+# 2 x 2 inputs of every real kind, which Configuration and GainMatrix read bit
+# for bit as np.array(x, dtype=float) does, and of the kinds they refuse.
+REAL_INPUTS = (
+    [[0, 1], [2**53 + 1, -(2**63)]],          # Python ints, one rounded
+    [[0.1, -2.5], [1e300, 5e-324]],            # Python floats
+    [[True, False], [False, True]],            # bools read as 0 and 1
+    [[1, 0.5], [True, 2**63]],                 # mixed, 2**63 beyond int64
+    *(np.array([[0, 1], [np.iinfo(t).max, np.iinfo(t).min]], dtype=t)
+      for t in (np.int8, np.int16, np.int32, np.int64,
+                np.uint8, np.uint16, np.uint32, np.uint64)),
+    *(np.array([[0.1, -2.5], [np.finfo(t).max, np.finfo(t).tiny]], dtype=t)
+      for t in (np.float16, np.float32, np.float64)),
+)
+NOT_REAL_INPUTS = (
+    [["1", 0], [0, 1]],                        # a string, even of a number
+    [[None, 0], [0, 1]],
+    [[0, {}], [0, 1]],                         # an object
+    [[10**30, 0], [0, 1]],                     # an int beyond 64 bits is an object
+    np.eye(2, dtype=object),
+    [[1j, 0], [0, 1]],
+    np.eye(2, dtype=complex),
+)
+
+
 @pytest.fixture
 def hexagon_graph():
     return Graph(6, HEXAGON_EDGES)

@@ -353,9 +353,12 @@ def reference_full_triple_set(g):
 
 def reference_int_row(t, width, noun, shape):
     """One entry's labels, each read with ``operator.index``, or the InputError
-    for a non-integer label or the wrong width. An entry that is not a
-    sequence raises TypeError."""
-    labels = tuple(t)
+    for an entry that is not a sequence, a non-integer label or the wrong
+    width."""
+    try:
+        labels = tuple(t)
+    except TypeError:
+        raise InputError(f"{noun} {t!r} is not {shape}") from None
     try:
         row = tuple(operator.index(v) for v in labels)
     except TypeError:

@@ -119,10 +119,11 @@ class TestCheck:
     @pytest.mark.parametrize("field, edges, triples", [
         ("edges", [[1, 2], ["a", 3]], None),
         ("triples", [[1, 2], [1, 3]], [[1, 2, 100000000000000000000000000000]]),
+        ("edges", [1, 2], None),
     ])
     def test_unconvertible_entry_exits_two(self, tmp_path, capsys, field, edges, triples):
-        """A non-integer label or one beyond int64 is an input error, not a
-        failed check with a traceback."""
+        """A non-integer label, one beyond int64 or an entry that is not a pair
+        is an input error, not a failed check with a traceback."""
         fw = tmp_path / "fw.json"
         fw.write_text(json.dumps({"n": 3, "edges": edges, "d": 2,
                                   "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}))
@@ -135,6 +136,30 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"input error: field '{field}': ")
+
+    @pytest.mark.parametrize("coordinate", ["1", None, {}])
+    def test_coordinate_that_is_not_a_number_exits_two(self, tmp_path, capsys, coordinate):
+        """The string "1" is not read as 1.0, and None or an object is not a
+        traceback: the file gives no point to test."""
+        obj = hexagon_framework_dict()
+        obj["points"][2][1] = coordinate
+        fw = tmp_path / "fw.json"
+        fw.write_text(json.dumps(obj))
+        assert main(["check", str(fw), "--mode", "rigid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: field 'points': points must be real\n"
+
+    @pytest.mark.parametrize("n", [2**62, 10**30])
+    def test_vertex_count_beyond_int64_keys_exits_two(self, tmp_path, capsys, n):
+        fw = tmp_path / "fw.json"
+        fw.write_text(json.dumps({"n": n, "edges": [[1, 2], [3, n]], "d": 2,
+                                  "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}))
+        assert main(["check", str(fw), "--mode", "rigid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'edges': vertex count n must be at "
+                                f"most 3037000499, got {n}\n")
 
     def test_non_integer_label_exits_two(self, tmp_path, capsys):
         """The edge [1, 2.7] is not read as [1, 2]: the file describes no graph
@@ -342,6 +367,18 @@ class TestJacobian:
         assert captured.err == "input error: gain blocks do not match the target size\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("entry", ["0.3", None])
+    def test_gain_entry_that_is_not_a_number_exits_two(self, target_file, tmp_path, capsys,
+                                                       entry):
+        blocks = gain_dict()["blocks"]
+        blocks[1][0][1] = entry
+        gain, out = tmp_path / "gain.json", tmp_path / "e.csv"
+        gain.write_text(json.dumps({"blocks": blocks}))
+        assert main(["jacobian", target_file, "--gain", str(gain), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: field 'blocks': gain blocks must be real\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--search", "10", "--seed", "-5"], "input error: seed must be >= 0"),
         (["--search", "0"], "input error: trials must be >= 1"),
@@ -470,6 +507,19 @@ class TestSimulate:
         assert "1e+14 RK4 steps" in capsys.readouterr().err
         assert not (tmp_path / "x_trace.csv").exists()
 
+    def test_initial_point_that_is_not_a_number_exits_two(self, tmp_path, capsys):
+        points = hexagon_framework_dict()["points"]
+        points[4][0] = {"x": 1.0}
+        cfg = {"target": hexagon_target_dict(), "law": "gradient",
+               "initial": {"points": points}}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(cfg_path), str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: field 'initial.points': points must be real\n"
+        assert not (tmp_path / "x_trace.csv").exists()
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"law": "gradient"}))
@@ -491,6 +541,17 @@ class TestModuleEntryPoint:
                              env=_src_env())
         assert run.returncode == 1
         assert run.stdout == "fails at vertex 1: all incident edges collinear\n"
+
+    def test_object_coordinate_exits_two_without_traceback(self, tmp_path):
+        obj = hexagon_framework_dict()
+        obj["points"][0][0] = {}
+        fw = tmp_path / "fw.json"
+        fw.write_text(json.dumps(obj))
+        run = subprocess.run([sys.executable, "-m", "weakrig", "check", str(fw)],
+                             capture_output=True, text=True, env=_src_env())
+        assert run.returncode == 2
+        assert run.stdout == "" and "Traceback" not in run.stderr
+        assert run.stderr == "input error: field 'points': points must be real\n"
 
     def test_numpy_is_the_only_runtime_dependency(self):
         """Importing the package and its CLI loads none of the test extras."""
@@ -542,6 +603,7 @@ class TestLazyLoading:
          "simulate shape"),
         ("jacobian hexagon_target.json --search 20 --out {tmp}/ev.csv "
          "--gain-out {tmp}/gain.json", 1, "simulate shape"),
+        ("simulate hexagon_run.json {tmp}/run", 0, "shape"),
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, code, unused):
         """Run in the fixtures directory; outputs go to a temporary one."""

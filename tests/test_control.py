@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import EIGS_DESIGNED_GAIN, EIGS_IDENTITY_GAIN
+from conftest import EIGS_DESIGNED_GAIN, EIGS_IDENTITY_GAIN, NOT_REAL_INPUTS, REAL_INPUTS
 from helpers import (
     fd_gradient,
     from_stacked,
@@ -103,6 +103,20 @@ class TestGainMatrix:
         with pytest.raises(InputError) as exc:
             GainMatrix(blocks)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("block", REAL_INPUTS)
+    def test_reads_every_real_kind_as_float(self, block):
+        got = GainMatrix((block, block)).blocks
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array((block, block), dtype=float).tobytes()
+
+    @pytest.mark.parametrize("block", NOT_REAL_INPUTS)
+    def test_refuses_every_other_kind(self, block):
+        """In any block; a string, None, an object or a complex entry is never cast."""
+        for blocks in ((block,), (np.eye(2), block)):
+            with pytest.raises(InputError) as exc:
+                GainMatrix(blocks)
+            assert str(exc.value) == "gain blocks must be real"
 
     def test_blocks_are_read_only_float_views_of_one_stack(self):
         gain = GainMatrix(([[1, 2], [3, 4]], np.eye(2)))

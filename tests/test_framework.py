@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import NOT_REAL_INPUTS, REAL_INPUTS
 from helpers import (
     fd_jacobian,
     from_stacked,
@@ -62,6 +63,19 @@ class TestConfiguration:
         """The imaginary part is never dropped in a cast to float."""
         with pytest.raises(InputError, match="points must be real"):
             Configuration(points)
+
+    @pytest.mark.parametrize("points", REAL_INPUTS)
+    def test_reads_every_real_kind_as_float(self, points):
+        got = Configuration(points).points
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(points, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("points", [*NOT_REAL_INPUTS, None, "12", object()])
+    def test_refuses_every_other_kind(self, points):
+        """A string, None, an object or a complex number is never cast."""
+        with pytest.raises(InputError) as exc:
+            Configuration(points)
+        assert str(exc.value) == "points must be real"
 
     def test_rejects_flat_vector(self):
         with pytest.raises(InputError):

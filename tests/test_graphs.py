@@ -60,6 +60,32 @@ class TestGraphValidation:
             Graph(3, edges)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("edges, message", [
+        ([1, 2], "edge 1 is not a pair"),
+        ([[1, 2], None], "edge None is not a pair"),
+    ])
+    def test_entry_that_is_not_a_sequence_rejected(self, edges, message):
+        with pytest.raises(InputError) as err:
+            Graph(3, edges)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("n, edges", [
+        (2**62, [[1, 2], [3, 2**62]]),  # its keys once wrapped round in int64
+        (10**30, [[1, 2]]),             # once an OverflowError
+        (3_037_000_500, []),
+    ])
+    def test_vertex_count_beyond_int64_keys_rejected(self, n, edges):
+        with pytest.raises(InputError) as err:
+            Graph(n, edges)
+        assert str(err.value) == f"vertex count n must be at most 3037000499, got {n}"
+
+    def test_largest_vertex_count_keys_its_edges(self):
+        n = 3_037_000_499  # the largest n with n * n below 2**63
+        g = Graph(n, [[n, n - 1], [1, n]])
+        assert g.edges == ((1, n), (n - 1, n))
+        assert g._keys.tolist() == [n - 1, (n - 2) * n + n - 1]
+        assert g._edge_ids(np.array([n - 1, n - 1]), np.array([n - 2, 0])).tolist() == [1, 0]
+
     def test_integer_labels_of_any_kind_accepted(self):
         expected = ((1, 2), (2, 3))
         for edges in (((True, 2), (np.int8(3), 2)), np.array([[2, 1], [3, 2]], dtype=np.int32)):

@@ -198,8 +198,8 @@ def test_build_formation_triples_matches_reference(gs, data):
 def edge_lists(draw):
     """Edges of a random graph in random order and orientation, with a few
     corruptions inserted: a non-pair, a self-loop, an end outside 1..n (also
-    beyond int64), a duplicate in either orientation, or an entry that is not
-    an integer."""
+    beyond int64), a duplicate in either orientation, an end that is not an
+    integer, or an entry that is not a sequence (an int or None)."""
     n = draw(st.integers(1, 15))
     p = draw(st.sampled_from((0.0, 0.2, 0.5, 1.0)))
     rng = _rng(draw)
@@ -207,7 +207,7 @@ def edge_lists(draw):
              for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p]
     rng.shuffle(edges)
     pairs = list(edges)  # a duplicate repeats one of these, never a corruption
-    kinds = ("pair", "loop", "range", "huge", "duplicate", "type")
+    kinds = ("pair", "loop", "range", "huge", "duplicate", "type", "scalar")
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
         v = int(rng.integers(1, n + 1))
         if kind == "pair":
@@ -221,6 +221,9 @@ def edge_lists(draw):
         elif kind == "duplicate" and pairs:
             i, j = pairs[rng.integers(len(pairs))]
             bad = (j, i) if rng.random() < 0.5 else (i, j)
+        elif kind == "scalar":
+            edges.insert(int(rng.integers(len(edges) + 1)), v if rng.random() < 0.5 else None)
+            continue
         else:
             bad = (v, "x") if rng.random() < 0.5 else (None, v)
         edges.insert(int(rng.integers(len(edges) + 1)), bad[::int(rng.choice([-1, 1]))])
@@ -248,16 +251,17 @@ def test_graph_matches_per_edge_loop(case):
         assert (order.tolist(), parent.tolist()) == reference_bfs(g)
 
 
-MALFORMED = ("float", "string", "width", "loop", "range", "duplicate", "beyond int64")
+MALFORMED = ("float", "string", "width", "scalar", "loop", "range", "duplicate",
+             "beyond int64")
 
 
 @st.composite
 def conversion_cases(draw, width):
     """(n, rows, container): the edges (width 2) or admissible triples (width
     3) of a random graph on 1..n, shuffled, with at most one malformed entry
-    at a random position, and a container that can hold them all: a tuple of
-    tuples, a list of lists, a generator, an int64 or uint64 array, or the
-    empty list."""
+    (a scalar one is an int or None, not a sequence) at a random position,
+    and a container that can hold them all: a tuple of tuples, a list of
+    lists, a generator, an int64 or uint64 array, or the empty list."""
     n = draw(st.integers(1, 12))
     rng = _rng(draw)
     g = dense_graph(rng, n, p=draw(st.sampled_from((0.0, 0.3, 1.0))))
@@ -271,15 +275,16 @@ def conversion_cases(draw, width):
         "float": base[:-1] + (base[-1] + float(rng.choice([0.0, 0.5])),),
         "string": (str(base[0]),) + base[1:],
         "width": base + (v,) if rng.random() < 0.5 else base[:-1],
+        "scalar": v if rng.random() < 0.5 else None,
         "loop": (v,) * width,
         "range": base[:-1] + (int(rng.choice([0, -1, n + 1])),),
         "duplicate": base[::-1] if width == 2 else base,
         "beyond int64": base[:-1] + (int(rng.choice([2**63, 2**64 - 1, 10**30, -(2**63) - 1])),),
     }.get(kind)
-    if bad is not None:
+    if kind is not None:
         rows.insert(int(rng.integers(len(rows) + 1)), bad)
     containers = ["tuples", "lists", "generator"]
-    if kind not in ("float", "string", "width"):
+    if kind not in ("float", "string", "width", "scalar"):
         labels = [x for r in rows for x in r]
         containers += [c for c, lo, hi in (("int64", -(2**63), 2**63), ("uint64", 0, 2**64))
                        if all(lo <= x < hi for x in labels)]
@@ -289,12 +294,13 @@ def conversion_cases(draw, width):
 
 
 def _contain(rows, container, width):
+    """``rows``, tuples and scalars, in ``container``; a scalar stays as it is."""
     if container == "tuples":
-        return tuple(map(tuple, rows))
+        return tuple(rows)
     if container == "lists":
-        return [list(r) for r in rows]
+        return [list(r) if isinstance(r, tuple) else r for r in rows]
     if container == "generator":
-        return (tuple(r) for r in rows)
+        return (r for r in rows)
     if container == "empty":
         return []
     return np.array(rows, dtype=np.dtype(container)).reshape(-1, width)
