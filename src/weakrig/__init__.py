@@ -15,16 +15,15 @@ _NAMES = {  # module: the public names it defines
         "classify_stability", "gain_search", "jacobian_at_target", "sort_eigenvalues",
     ),
     "errors": (
-        "ConstructionError", "DegenerateConfigurationError", "DivergenceError", "DomainError",
-        "FitError", "InputError", "NoValidExtensionError", "NotRealizableError",
-        "UnsupportedDimensionError", "UnsupportedRegimeError",
+        "ConstructionError", "DivergenceError", "DomainError", "FitError", "InputError",
+        "NoValidExtensionError", "NotRealizableError", "UnsupportedDimensionError",
+        "UnsupportedRegimeError",
     ),
     "framework": (
         "Configuration", "Framework", "TripleSet", "check_iwr_via_spanning_tree",
         "distance_triple", "edge_weak_rigidity_matrix", "is_infinitesimally_rigid",
         "is_infinitesimally_weakly_rigid", "required_rank", "restrict_triples_to_tree",
-        "rigidity_matrix", "trivial_motion_basis", "weak_rigidity_function",
-        "weak_rigidity_matrix",
+        "rigidity_matrix", "weak_rigidity_function", "weak_rigidity_matrix",
     ),
     "graphs": ("Graph", "is_connected", "spanning_tree"),
     "linalg": ("are_collinear", "numerical_rank"),

@@ -47,7 +47,10 @@ class GainMatrix:
     blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = [np.asarray(b) for b in self.blocks]
+        try:
+            blocks = [np.asarray(b) for b in self.blocks]
+        except ValueError:  # a ragged block
+            raise InputError("gain blocks must be square matrices") from None
         if not blocks:
             raise InputError("gain needs at least one block")
         d = blocks[0].shape[0] if blocks[0].ndim else 0

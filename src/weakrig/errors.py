@@ -17,10 +17,6 @@ class UnsupportedDimensionError(DomainError):
     """Planar-only operation invoked with d != 2."""
 
 
-class DegenerateConfigurationError(DomainError):
-    """Configuration too degenerate for the requested construction."""
-
-
 class NotRealizableError(DomainError):
     """Gram matrix cannot be realized in the requested dimension."""
 

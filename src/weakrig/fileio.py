@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .framework import Configuration, Framework, TripleSet
-from .graphs import Graph
+from .graphs import Graph, _vertex_count
 
 if TYPE_CHECKING:  # the readers import these when they build them
     from .control import FormationTarget, GainMatrix
@@ -55,16 +55,15 @@ def _get(obj: dict, key: str, kind, what: str):
 
 
 def _build(field: str, cls, *args):
-    """``cls(*args)``; the ValueError it raises (an InputError, or NumPy's on
-    ragged rows) becomes an InputError naming ``field``."""
+    """``cls(*args)``; the InputError it raises becomes one naming ``field``."""
     try:
         return cls(*args)
-    except ValueError as exc:
+    except InputError as exc:
         raise InputError(f"field '{field}': {exc}") from exc
 
 
 def graph_from_dict(obj: dict) -> Graph:
-    n = _get(obj, "n", int, "the vertex count, a positive integer")
+    n = _build("n", _vertex_count, _get(obj, "n", int, "the vertex count, a positive integer"))
     edges = _get(obj, "edges", list, "a list of [i, j] pairs")
     return _build("edges", Graph, n, edges)
 

@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfigurationError,
-    DomainError,
-    InputError,
-    UnsupportedRegimeError,
-)
+from .errors import DomainError, InputError, UnsupportedRegimeError
 from .graphs import Graph, _int_rows, _raise_first_failing, is_connected
-from .linalg import _rank_of, numerical_rank
+from .linalg import _rank_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +25,13 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points)
+        try:
+            pts = np.array(self.points)
+        except ValueError:  # ragged: name the first row shaped unlike point 1
+            shapes = [np.array(row, dtype=object).shape for row in self.points]
+            i = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
+            raise InputError(f"point {i + 1} {self.points[i]!r} is not shaped like point 1"
+                             if i is not None else "points must be real") from None
         if pts.dtype.kind not in "biuf":  # str, object (None, ints past 64 bits), complex
             raise InputError("points must be real")
         pts = pts.astype(float, copy=False)
@@ -316,7 +317,7 @@ def _weak_rigidity_operator(f: Framework, t: TripleSet) -> _ConstraintOperator:
 
 def _edge_weak_rigidity_operator(f: Framework, tree: Graph, t: TripleSet) -> _ConstraintOperator:
     t.require_valid_for(f.graph)
-    require_spanning_tree(tree, f.graph)
+    _require_spanning_tree(tree, f.graph)
     return _ConstraintOperator.on_tree_edges(restrict_triples_to_tree(tree, t), tree, f.d)
 
 
@@ -342,7 +343,7 @@ def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:
     return _weak_rigidity_operator(f, t).dense(f.points)
 
 
-def require_spanning_tree(tree: Graph, graph: Graph) -> None:
+def _require_spanning_tree(tree: Graph, graph: Graph) -> None:
     if tree.n != graph.n:
         raise DomainError("tree and graph must share the vertex set")
     if tree.m != graph.n - 1 or not is_connected(tree):
@@ -368,29 +369,6 @@ def edge_weak_rigidity_matrix(f: Framework, tree: Graph, t: TripleSet) -> np.nda
     on the restricted triple set.
     """
     return _edge_weak_rigidity_operator(f, tree, t).dense(f.points)
-
-
-def trivial_motion_basis(c: Configuration) -> np.ndarray:
-    """Orthonormal (n*d, d(d+1)/2) basis of rigid-body velocity fields.
-
-    d translation columns plus d(d-1)/2 infinitesimal rotations; for d = 2 the
-    rotation generator sends p_i to (-y_i, x_i).
-    """
-    n, d = c.n, c.d
-    a, b = np.triu_indices(d, 1)
-    plane = np.arange(a.size)
-    # the generator of the (a, b) plane sends p_i to -p_ib at a and p_ia at b
-    gens = np.zeros((a.size, d, d))
-    gens[plane, a, b] = -1.0
-    gens[plane, b, a] = 1.0
-    rotations = np.matmul(c.points, gens.transpose(0, 2, 1)).reshape(a.size, n * d).T
-    basis = np.hstack([np.tile(np.eye(d), (n, 1)), rotations])
-    if numerical_rank(basis) < basis.shape[1]:
-        raise DegenerateConfigurationError(
-            "rigid-motion columns are linearly dependent for this configuration"
-        )
-    q, _ = np.linalg.qr(basis)
-    return q
 
 
 def _require_enough_points(n: int, d: int) -> None:

@@ -62,17 +62,22 @@ def _raise_first_failing(arr: np.ndarray, checks) -> None:
         raise InputError(msg.format(*arr[row]))
 
 
+def _vertex_count(n) -> int:
+    """``n`` as an int, if it is a valid vertex count."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError("vertex count n must be a positive integer")
+    if n > 3_037_000_499:  # isqrt(2**63 - 1): edge keys a*n + b stay below n*n
+        raise InputError(f"vertex count n must be at most 3037000499, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InputError("vertex count n must be a positive integer")
-        n = int(self.n)
-        if n > 3_037_000_499:  # isqrt(2**63 - 1): edge keys a*n + b stay below n*n
-            raise InputError(f"vertex count n must be at most 3037000499, got {n}")
+        n = _vertex_count(self.n)
         ends, err = _int_rows(self.edges, 2, "edge", "a pair")
         lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
         _raise_first_failing(ends, ((lo == hi, "self-loop at vertex {}"),

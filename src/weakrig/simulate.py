@@ -82,7 +82,6 @@ class InvariantReport:
     max_centroid_drift: float
     centroid_conserved_expected: bool
     rank_constant: bool
-    rank_values: tuple[int, ...]
     min_inter_agent_distance: float
     collision_events: int
 
@@ -204,13 +203,10 @@ def monitor_invariants(trace: SimulationTrace, law: Law) -> InvariantReport:
     """Post-hoc conservation report: centroid drift (a gradient-law invariant),
     rank of the point matrix, and minimum inter-agent distance."""
     drift = float(np.max(np.linalg.norm(trace.centroid - trace.centroid[0], axis=1)))
-    ranks = tuple(int(r) for r in trace.rank_p)
-    min_dist = float(trace.min_distance.min())
     return InvariantReport(
         max_centroid_drift=drift,
         centroid_conserved_expected=(law is Law.GRADIENT),
-        rank_constant=all(r == ranks[0] for r in ranks),
-        rank_values=ranks,
-        min_inter_agent_distance=min_dist,
+        rank_constant=bool((trace.rank_p == trace.rank_p[0]).all()),
+        min_inter_agent_distance=float(trace.min_distance.min()),
         collision_events=int(np.count_nonzero(trace.min_distance < COLLISION_THRESHOLD)),
     )

@@ -1,9 +1,9 @@
 """Constraint-set construction for planar frameworks.
 
-The planar graphical test decides infinitesimal weak rigidity from
-connectivity plus per-vertex collinearity alone. On frameworks passing it,
-a greedy spanning tree plus a per-vertex neighbor split yield a constraint
-set of exactly 2n-3 triples of full rank.
+The planar graphical test, connectivity plus per-vertex non-collinearity, is
+sufficient for infinitesimal weak rigidity but not necessary. On frameworks
+passing it, a greedy spanning tree plus a per-vertex neighbor split yield a
+constraint set of exactly 2n-3 triples of full rank.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _graphical_defects(f: Framework) -> list[int] | None:
 
 
 def check_planar_graphical_condition(f: Framework) -> bool:
-    """Planar test equivalent to infinitesimal weak rigidity for some triple set:
+    """Planar test sufficient, not necessary, for infinitesimal weak rigidity:
     connected, and every vertex with >= 2 neighbors has a non-collinear pair.
     Its per-pair tolerance is not the rank tests' whole-matrix one, so the two
     can disagree where a vertex's edges lie within ~1e-8 (relative) of a line."""

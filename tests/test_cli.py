@@ -158,8 +158,28 @@ class TestCheck:
         assert main(["check", str(fw), "--mode", "rigid"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("input error: field 'edges': vertex count n must be at "
+        assert captured.err == ("input error: field 'n': vertex count n must be at "
                                 f"most 3037000499, got {n}\n")
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_vertex_count_below_one_exits_two(self, tmp_path, capsys, n):
+        fw = tmp_path / "fw.json"
+        fw.write_text(json.dumps({"n": n, "edges": [], "d": 2, "points": [[0.0, 0.0]]}))
+        assert main(["check", str(fw), "--mode", "rigid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: field 'n': vertex count n must be a positive integer\n"
+
+    def test_ragged_coordinate_row_exits_two(self, tmp_path, capsys):
+        obj = hexagon_framework_dict()
+        obj["points"][2] = [5.0]
+        fw = tmp_path / "fw.json"
+        fw.write_text(json.dumps(obj))
+        assert main(["check", str(fw), "--mode", "rigid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: field 'points': "
+                                "point 3 [5.0] is not shaped like point 1\n")
 
     def test_non_integer_label_exits_two(self, tmp_path, capsys):
         """The edge [1, 2.7] is not read as [1, 2]: the file describes no graph
@@ -377,6 +397,16 @@ class TestJacobian:
         assert main(["jacobian", target_file, "--gain", str(gain), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "input error: field 'blocks': gain blocks must be real\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_ragged_gain_block_exits_two(self, target_file, tmp_path, capsys):
+        blocks = gain_dict()["blocks"]
+        blocks[1][0] = [0.3]
+        gain, out = tmp_path / "gain.json", tmp_path / "e.csv"
+        gain.write_text(json.dumps({"blocks": blocks}))
+        assert main(["jacobian", target_file, "--gain", str(gain), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: field 'blocks': gain blocks must be square matrices\n"
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -623,6 +653,16 @@ class TestLazyLoading:
             else:
                 assert obj is getattr(sys.modules[obj.__module__], name)
                 assert obj.__module__.startswith("weakrig.")
+
+    def test_each_module_exports_exactly_its_public_definitions(self):
+        """Every function or class a module defines under a name without a
+        leading underscore is in its ``_NAMES`` entry, and nothing else is."""
+        for module, names in weakrig._NAMES.items():
+            mod = getattr(weakrig, module)
+            defined = {name for name, obj in vars(mod).items()
+                       if not name.startswith("_") and isinstance(obj, (type, types.FunctionType))
+                       and obj.__module__ == mod.__name__}
+            assert defined == set(names), module
 
     def test_star_import_lists_the_public_names(self):
         namespace = {}

@@ -104,6 +104,19 @@ class TestGainMatrix:
             GainMatrix(blocks)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("blocks", [
+        ([[1, 0], [0]],),
+        (np.eye(2), [[1, 0], [0, [1]]]),
+        [[[1, 0], [0, 1]], [[1], [0, 1]]],
+        # found while reading the blocks, before any block is checked
+        (NAN_BLOCK, [[1, 0], [0]]),
+        (np.eye(2) * 1j, np.eye(3), [[1, 0], [0]]),
+    ])
+    def test_ragged_block_is_not_a_square_matrix(self, blocks):
+        with pytest.raises(InputError) as exc:
+            GainMatrix(blocks)
+        assert str(exc.value) == "gain blocks must be square matrices"
+
     @pytest.mark.parametrize("block", REAL_INPUTS)
     def test_reads_every_real_kind_as_float(self, block):
         got = GainMatrix((block, block)).blocks

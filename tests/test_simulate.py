@@ -454,8 +454,20 @@ class TestMonitorInvariants:
         assert report.max_centroid_drift <= 1e-9
         assert report.min_inter_agent_distance > 0.0
         assert report.rank_constant
-        assert report.rank_values[0] == 2
+        assert trace.rank_p[0] == 2
         assert report.collision_events == 0
+
+    def test_rank_drop_is_flagged(self):
+        """Points that fall onto a line through the origin lower the rank of
+        the point matrix from 2 to 1 partway through the trace."""
+        rec = simulate._Recorder(Graph(3, ((1, 2), (2, 3)))._ends, 4)
+        plane = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        line = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        for t, pts in enumerate((plane, plane, line)):
+            rec.add(0.1 * t, pts, np.zeros(2), 0.0)
+        trace = rec.build("t_max")
+        assert trace.rank_p.tolist() == [2, 2, 1]
+        assert not monitor_invariants(trace, Law.GRADIENT).rank_constant
 
     def test_nongradient_flagged(self, hexagon_target, designed_gain):
         cfg = hexagon_run_config(hexagon_target, designed_gain, seed=42, t_max=5.0)
