@@ -180,10 +180,11 @@ class _ConstraintOperator:
     the dense matrix.
     """
 
-    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail):
+    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail, derived=0):
         self.s, self.d, self.ncols = t.s, d, ncols
         self._row, self._col = row, col
         self._apex = t._idx[0]  # of each row
+        self._derived = derived  # leading apex slots of rows that sum to zero (R_w)
         # slot vectors are pts[_idx[:K]] - pts[_idx[K:]]
         self._idx = np.concatenate([head, tail])
 
@@ -197,7 +198,8 @@ class _ConstraintOperator:
                    row=np.concatenate([rows, rows, legs, legs]),
                    col=np.concatenate([ap, ap, l1[legs], l2[legs]]),
                    head=np.concatenate([ap, ap, l2[legs], l1[legs]]),
-                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]))
+                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]),
+                   derived=0 if barred else 2 * t.s)
 
     @classmethod
     def on_tree_edges(cls, t: TripleSet, tree: Graph, d: int):
@@ -232,33 +234,37 @@ class _ConstraintOperator:
         The rows of one apex touch only its local columns, the distinct
         columns of its slots, and form its block. A block taller than wide is
         replaced by its R factor: orthogonal row transforms keep the singular
-        values. The rows of the other blocks pass through first, in row
-        order; then come the R factors in apex order, one QR per tall block,
-        each written onto its block's global columns. Every slot lands in the
-        order ``dense`` adds it, so every cell is the same sum; with no tall
-        block, the result is ``dense(pts)`` bit for bit.
+        values. On R_w a row sums to zero over its column blocks, so a block's
+        apex columns are minus the sum of its leg columns: it is QR'd on the
+        leg columns, tall when its rows outnumber d times its legs, and the R
+        factor's apex columns are minus its leg columns summed, coordinate by
+        coordinate, d rows fewer. The rows of the other blocks pass through
+        first, in row order, each slot in the order ``dense`` adds it, so with
+        no tall block the result is ``dense(pts)`` bit for bit. Then come the
+        R factors in apex order, each written onto its block's global columns.
         """
-        d, k, width = self.d, self._row.size, self.ncols * self.d
-        key = self._apex[self._row] * self.ncols + self._col
+        d, k, width, a = self.d, self._row.size, self.ncols * self.d, self._derived
+        key = self._apex[self._row[a:]] * self.ncols + self._col[a:]
         run = np.diff(key, prepend=-1) != 0  # slots repeat keys in runs: one per run
         keys, key = np.unique(key[run], return_inverse=True)
-        key = key[np.cumsum(run) - 1]  # each slot's index among the keys
+        key = np.r_[np.zeros(a, np.int64), key[np.cumsum(run) - 1]]  # each slot's key index
         key_apex, key_col = np.divmod(keys, self.ncols)
         first = np.flatnonzero(np.diff(key_apex, prepend=-1))  # first key of each block
         cols = np.diff(np.r_[first, keys.size])
         row_block = np.searchsorted(key_apex[first], self._apex)
         height = np.bincount(row_block, minlength=first.size)
         tall = height > cols * d
-        # group 0 passes through; tall block b is group b + 1
+        # group 0 passes through, tall block b is group b + 1 (its R_w apex slots: never)
         group = np.where(tall[row_block], row_block + 1, 0)
         place = _rank_in_group(group)  # in its block, or among the rows passing through
         # a slot adds at its global column when passing through, else at its local one
         base = np.where(tall[row_block], place * cols[row_block] - first[row_block],
                         place * self.ncols)
         slot_group = group[self._row]
+        slot_group[:a][slot_group[:a] > 0] = first.size + 1
         cells = (base[self._row] + np.where(slot_group > 0, key, self._col)) * d
         order = np.argsort(slot_group, kind="stable")
-        ends = np.r_[0, np.cumsum(np.bincount(slot_group, minlength=first.size + 1))].tolist()
+        ends = np.r_[0, np.cumsum(np.bincount(slot_group, minlength=first.size + 2))].tolist()
         head, tail = self._idx[:k], self._idx[k:]
 
         def scatter(g, flat):  # adds the slots of group g, in slot order
@@ -272,8 +278,11 @@ class _ConstraintOperator:
         at = (key_col[:, None] * d + np.arange(d)).ravel()  # global column of key coordinates
         for b in np.flatnonzero(tall).tolist():
             h, w, c = int(height[b]), int(cols[b]) * d, int(first[b]) * d
-            out[top:top + w, at[c:c + w]] = np.linalg.qr(
-                scatter(b + 1, np.zeros(h * w)).reshape(h, w), mode="r")
+            r = np.linalg.qr(scatter(b + 1, np.zeros(h * w)).reshape(h, w), mode="r")
+            out[top:top + w, at[c:c + w]] = r
+            if a:
+                apex = int(key_apex[first[b]]) * d
+                out[top:top + w, apex:apex + d] = -r.reshape(w, -1, d).sum(axis=1)
             top += w
         return out
 

@@ -126,15 +126,30 @@ def test_rank_tests_match_dense_reference(fw, data):
         == (reference_rank(ops["tree full"], fw.points) == req)
 
 
-def _tall_apexes(op):
-    """Apexes whose rows outnumber d times their local columns, counted row
-    by row."""
+def _blocks(op, apex_counts):
+    """{apex: (rows, sorted local columns)}, counted slot by slot; the apex's
+    own column is left out unless ``apex_counts``."""
     rows, cols = {}, {}
     for r, c in zip(op._row.tolist(), op._col.tolist()):
         apex = int(op._apex[r])
         rows.setdefault(apex, set()).add(r)
-        cols.setdefault(apex, set()).add(c)
-    return sum(len(rows[a]) > op.d * len(cols[a]) for a in rows)
+        if apex_counts or c != apex:
+            cols.setdefault(apex, set()).add(c)
+    return {a: (sorted(rows[a]), sorted(cols.get(a, ()))) for a in sorted(rows)}
+
+
+def _tall_apexes(op):
+    """Apexes whose rows outnumber d times their local columns, counted row
+    by row. On R_w's vertex columns the apex column is not counted: the legs
+    fix it, so d times the legs is the width."""
+    blocks = _blocks(op, apex_counts=not op._derived).values()
+    return sum(len(rows) > op.d * len(cols) for rows, cols in blocks)
+
+
+def _reduced_rows(op, apex_counts):
+    """Rows passing through plus d times the width of each tall block."""
+    return sum(min(len(rows), op.d * len(cols))
+               for rows, cols in _blocks(op, apex_counts).values())
 
 
 def _qr_calls(op, pts):
@@ -152,6 +167,44 @@ def test_one_qr_per_tall_apex(fw, data):
         assert _qr_calls(op, fw.points) == _tall_apexes(op)
         if name == "distance":
             assert _tall_apexes(op) == 0
+
+
+@given(frameworks(), st.data())
+def test_vertex_blocks_reduce_on_their_leg_columns(fw, data):
+    """On R_w over vertex columns every row sums to zero over its column
+    blocks, so a tall block is reduced on its leg columns: it leaves d rows
+    per leg, and each of its R rows holds minus its leg sum in the apex
+    columns. The rows passing through are those of ``dense``, in row order,
+    and the singular values are those of ``dense``."""
+    d, ops = fw.d, _operators(fw, _rng(data.draw))
+    for op in (ops["full"], ops["subset"]):
+        pts, blocks = fw.points, _blocks(op, apex_counts=False)
+        reduced, dense = op.reduced(pts), op.dense(pts)
+        assert reduced.shape[0] == _reduced_rows(op, apex_counts=False)
+        tall = {a: cols for a, (rows, cols) in blocks.items() if len(rows) > d * len(cols)}
+        passing = [r for rows, cols in blocks.values() if len(rows) <= d * len(cols) for r in rows]
+        top = len(passing)
+        assert reduced[:top].tobytes() == dense[sorted(passing)].tobytes()
+        for apex, cols in tall.items():
+            band = reduced[top:top + d * len(cols)]
+            legs = band[:, (np.array(cols)[:, None] * d + np.arange(d)).ravel()]
+            assert np.array_equal(band[:, apex * d:apex * d + d],
+                                  -legs.reshape(band.shape[0], len(cols), d).sum(axis=1))
+            top += band.shape[0]
+        assert top == reduced.shape[0]
+        _assert_same_spectrum(op, pts)
+
+
+@given(frameworks(), st.data())
+def test_other_operators_keep_the_apex_column(fw, data):
+    """Rbar's angle rows have no leg slots and tree-edge columns have no apex
+    column, so their blocks count the apex's own column; no distance block
+    is ever tall."""
+    ops = _operators(fw, _rng(data.draw))
+    barred = _ConstraintOperator.on_vertices(full_triple_set(fw.graph), fw.n, fw.d, barred=True)
+    for op in (barred, ops["tree full"], ops["tree subset"]):
+        assert op.reduced(fw.points).shape[0] == _reduced_rows(op, apex_counts=True)
+    assert ops["distance"].reduced(fw.points).shape[0] == ops["distance"].s
 
 
 def test_qr_calls_on_fixtures(hexagon_framework, hexagon_triples):
@@ -231,7 +284,7 @@ def test_near_collinear_stars(eps):
 
 def test_tolerance_uses_the_logical_shape():
     """A 30-leaf star within 1e-7 of a line: R_w is 465 x 62 but reduces to
-    92 x 62, and 28 singular values lie between the tolerances of the two
+    90 x 62, and 28 singular values lie between the tolerances of the two
     shapes. The rank counts them as zero, as the dense test does."""
     k = 30
     along = np.linspace(0.2, 1.0, k) * np.where(np.arange(k) % 2, 1.0, -1.0)
@@ -242,5 +295,5 @@ def test_tolerance_uses_the_logical_shape():
     reduced = op.reduced(pts)
     sv = np.linalg.svd(reduced, compute_uv=False)
     between = (sv > 1e-10 * sv[0] * max(reduced.shape)) & (sv <= 1e-10 * sv[0] * op.s)
-    assert reduced.shape == (92, 62) and op.s == 465 and between.sum() == 28
+    assert reduced.shape == (90, 62) and op.s == 465 and between.sum() == 28
     assert op.rank(pts) == reference_rank(op, pts) == 31

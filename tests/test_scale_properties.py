@@ -4,10 +4,14 @@ every tolerance is relative, with no absolute floor, so nothing may change:
 the graphical test, the rank tests, the tree and the 2n-3 set, shape
 recovery, congruence, the stability classifier and the gain search. The
 collinearity verdicts (graphical test, tree, 2n-3 set) hold still over
-k in [-1000, 1000], near both ends of the float range, and the full-span
-test (``numerical_rank`` of the centered points) over k in [-600, 600].
+k in [-1000, 1000], near both ends of the float range, and stay those of
+small integer vectors scaled to subnormal maxima; the full-span
+test (``numerical_rank`` of the centered points) holds still over
+k in [-600, 600].
 At its own witness, at any such scale, each closed loop is at an exact
-equilibrium: the residuals and the velocity are zero."""
+equilibrium: the residuals and the velocity are zero. A simulation scaled by
+2^k, with its step, horizon and stop cost rescaled to match, is the same run
+scaled, bit for bit."""
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ from weakrig import (  # noqa: E402
     is_infinitesimally_weakly_rigid,
     jacobian_at_target,
     Law,
+    SimulationConfig,
+    integrate,
     min_iwr_spanning_tree,
     minimal_triple_set,
     recover_shape,
@@ -169,6 +175,21 @@ def test_collinearity_at_the_ends_of_the_float_range(length):
     assert _graphical_defects(right_angle) == []
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(-1074, -1000), st.integers(-1074, -1000), st.data())
+def test_collinearity_with_subnormal_maxima(d, k, j, data):
+    """Integer vectors below 2^20 scaled by 2^k and 2^j, down to 2^-1074, are
+    exact, and their largest entries are subnormal from 2^-1042 down: each
+    pair, alone or in the stack, gets the verdict of the integers."""
+    ints = st.lists(st.integers(-2**20, 2**20), min_size=d, max_size=d)
+    pairs = np.array(data.draw(st.lists(st.tuples(ints, ints), min_size=1, max_size=8)), dtype=float)
+    u, v = pairs[:, 0], pairs[:, 1]
+    expected = are_collinear(u, v).tolist()
+    su, sv = 2.0**k * u, 2.0**j * v
+    assert are_collinear(su, sv).tolist() == expected
+    assert [are_collinear(a, b) for a, b in zip(su, sv)] == expected
+
+
 def _hexagon_target(s):
     return FormationTarget(Graph(6, HEXAGON_EDGES), full_triple_set(Graph(6, HEXAGON_EDGES)),
                            Configuration(s * HEXAGON_POINTS))
@@ -206,3 +227,28 @@ def test_witness_is_an_exact_equilibrium(seed, d, k):
         ev = ControlEvaluator(spec)
         assert not ev.residuals(witness.points).any()
         assert not ev.velocity(witness.points).any()
+
+
+@settings(max_examples=20)
+@given(st.integers(-3, 3), st.integers(0, 2**32 - 1), st.sampled_from(list(Law)),
+       st.sampled_from([0.0, 1e-2]))
+def test_simulation_is_scale_covariant(k, seed, law, stop_cost):
+    """Either law's field is homogeneous of degree 3 in the points, so scaling
+    the witness and the start by 2^k, h and t_max by 4^-k and stop_cost by
+    16^k gives positions times 2^k, times times 4^-k and costs times 16^k,
+    bit for bit: every rescaling is by a power of two."""
+    designed = GainMatrix(tuple(np.diag(v) for v in DESIGNED_GAIN_DIAGS))
+    start = HEXAGON_POINTS + np.random.default_rng(seed).uniform(-0.1, 0.1, HEXAGON_POINTS.shape)
+
+    def run(s):
+        spec = ControllerSpec(law, _hexagon_target(s), designed if law is Law.NONGRADIENT else None)
+        return integrate(SimulationConfig(Configuration(s * start), spec, h=0.01 / s**2,
+                                          t_max=1.0 / s**2, record_every=5,
+                                          stop_cost=stop_cost * s**4))
+
+    s = 2.0**k
+    base, scaled = run(1.0), run(s)
+    assert (scaled.termination, scaled.steps) == (base.termination, base.steps)
+    assert scaled.positions.tobytes() == (s * base.positions).tobytes()
+    assert scaled.times.tobytes() == (base.times / s**2).tobytes()
+    assert scaled.cost.tobytes() == (s**4 * base.cost).tobytes()
