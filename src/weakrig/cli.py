@@ -21,12 +21,7 @@ from .errors import (
     InputError,
     NoValidExtensionError,
 )
-from .framework import (
-    _edge_weak_rigidity_operator,
-    _rank_test,
-    _rigidity_operator,
-    _weak_rigidity_operator,
-)
+from .framework import _distance_triples, _rank_test, _tree_triples
 from .graphs import spanning_tree
 from .triples import (
     _graphical_defects,
@@ -58,15 +53,15 @@ def _cmd_check(args) -> int:
     if args.mode != "rigid":
         triples = (fileio.triples_from_dict(fileio.load_json(args.triples))
                    if args.triples else full_triple_set(fw.graph))
-    label, build = {  # the tree mode is the sufficient test on the BFS spanning tree
-        "rigid": ("infinitesimally rigid", lambda: _rigidity_operator(fw)),
-        "weak": ("IWR", lambda: _weak_rigidity_operator(fw, triples)),
-        "tree": ("IWR via spanning tree", lambda: _edge_weak_rigidity_operator(
-            fw, spanning_tree(fw.graph), triples)),
+    label, rows = {  # the tree mode is the sufficient test on the BFS spanning tree
+        "rigid": ("infinitesimally rigid", lambda: _distance_triples(fw.graph)),
+        "weak": ("IWR", lambda: triples),
+        "tree": ("IWR via spanning tree",
+                 lambda: _tree_triples(fw, spanning_tree(fw.graph), triples)),
     }[args.mode]
-    rank, req = _rank_test(fw, build)  # the library rank tests' one comparison
+    rank, req = _rank_test(fw, rows)  # the library rank tests' one comparison
     ok = rank == req
-    note = "; inconclusive for d >= 3" if args.mode == "tree" and not ok else ""
+    note = "; inconclusive" if args.mode == "tree" and not ok else ""
     print(f"{label}: {'yes' if ok else 'no'} (rank {rank}/{req}{note})")
     return 0 if ok else 1
 

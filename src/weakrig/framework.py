@@ -175,16 +175,15 @@ class _ConstraintOperator:
     exact, so one gather of ``_idx`` and one subtraction give every signed
     slot vector. On vertex columns the first 2s slots are the e1 and e2 table.
 
-    Every row is zero outside the columns its apex's slots touch, so rank
-    tests reduce each apex's rows to an R factor (``reduced``) and never form
-    the dense matrix.
+    Every row is zero outside the columns its apex's slots touch, so the
+    rank tests reduce each apex's rows of R_w to an R factor (``reduced``)
+    and never form the dense matrix.
     """
 
-    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail, derived=0):
+    def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail):
         self.s, self.d, self.ncols = t.s, d, ncols
         self._row, self._col = row, col
         self._apex = t._idx[0]  # of each row
-        self._derived = derived  # leading apex slots of rows that sum to zero (R_w)
         # slot vectors are pts[_idx[:K]] - pts[_idx[K:]]
         self._idx = np.concatenate([head, tail])
 
@@ -198,8 +197,7 @@ class _ConstraintOperator:
                    row=np.concatenate([rows, rows, legs, legs]),
                    col=np.concatenate([ap, ap, l1[legs], l2[legs]]),
                    head=np.concatenate([ap, ap, l2[legs], l1[legs]]),
-                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]),
-                   derived=0 if barred else 2 * t.s)
+                   tail=np.concatenate([l1, l2, ap[legs], ap[legs]]))
 
     @classmethod
     def on_tree_edges(cls, t: TripleSet, tree: Graph, d: int):
@@ -229,22 +227,22 @@ class _ConstraintOperator:
         return _scatter_add(cells, self.slots(pts), np.zeros(self.s * width)).reshape(self.s, width)
 
     def reduced(self, pts: np.ndarray) -> np.ndarray:
-        """A short matrix with the singular values of ``dense(pts)``.
+        """A short matrix with the singular values of ``dense(pts)``, for R_w
+        over vertex columns: its first 2s slots are the apex slots.
 
-        The rows of one apex touch only its local columns, the distinct
-        columns of its slots, and form its block. A block taller than wide is
-        replaced by its R factor: orthogonal row transforms keep the singular
-        values. On R_w a row sums to zero over its column blocks, so a block's
-        apex columns are minus the sum of its leg columns: it is QR'd on the
-        leg columns, tall when its rows outnumber d times its legs, and the R
-        factor's apex columns are minus its leg columns summed, coordinate by
-        coordinate, d rows fewer. The rows of the other blocks pass through
-        first, in row order, each slot in the order ``dense`` adds it, so with
-        no tall block the result is ``dense(pts)`` bit for bit. Then come the
-        R factors in apex order, each written onto its block's global columns.
+        The rows of one apex touch only the columns of the apex and its legs,
+        and form its block. A row of R_w sums to zero over its column blocks, so a block's
+        apex columns are minus the sum of its leg columns. A block is tall
+        when its rows outnumber d times its legs; it is then replaced by the R
+        factor of its leg columns, with minus their sum, coordinate by
+        coordinate, in its apex columns: orthogonal row transforms keep the
+        singular values. The rows of the other blocks pass through first, in
+        row order, each slot in the order ``dense`` adds it, so with no tall
+        block the result is ``dense(pts)`` bit for bit. Then come the R
+        factors in apex order, each written onto its block's global columns.
         """
-        d, k, width, a = self.d, self._row.size, self.ncols * self.d, self._derived
-        key = self._apex[self._row[a:]] * self.ncols + self._col[a:]
+        d, k, width, a = self.d, self._row.size, self.ncols * self.d, 2 * self.s
+        key = self._apex[self._row[a:]] * self.ncols + self._col[a:]  # leg slots
         run = np.diff(key, prepend=-1) != 0  # slots repeat keys in runs: one per run
         keys, key = np.unique(key[run], return_inverse=True)
         key = np.r_[np.zeros(a, np.int64), key[np.cumsum(run) - 1]]  # each slot's key index
@@ -254,7 +252,7 @@ class _ConstraintOperator:
         row_block = np.searchsorted(key_apex[first], self._apex)
         height = np.bincount(row_block, minlength=first.size)
         tall = height > cols * d
-        # group 0 passes through, tall block b is group b + 1 (its R_w apex slots: never)
+        # group 0 passes through, tall block b is group b + 1 (its apex slots: never)
         group = np.where(tall[row_block], row_block + 1, 0)
         place = _rank_in_group(group)  # in its block, or among the rows passing through
         # a slot adds at its global column when passing through, else at its local one
@@ -279,16 +277,15 @@ class _ConstraintOperator:
         for b in np.flatnonzero(tall).tolist():
             h, w, c = int(height[b]), int(cols[b]) * d, int(first[b]) * d
             r = np.linalg.qr(scatter(b + 1, np.zeros(h * w)).reshape(h, w), mode="r")
+            apex = int(key_apex[first[b]]) * d
             out[top:top + w, at[c:c + w]] = r
-            if a:
-                apex = int(key_apex[first[b]]) * d
-                out[top:top + w, apex:apex + d] = -r.reshape(w, -1, d).sum(axis=1)
+            out[top:top + w, apex:apex + d] = -r.reshape(w, -1, d).sum(axis=1)
             top += w
         return out
 
     def rank(self, pts: np.ndarray) -> int:
-        """``numerical_rank(dense(pts))``: the singular values of ``reduced``
-        against the tolerance of the (s, ncols*d) shape."""
+        """``numerical_rank(dense(pts))`` for R_w: the singular values of
+        ``reduced`` against the tolerance of the (s, ncols*d) shape."""
         sv = np.linalg.svd(self.reduced(pts), compute_uv=False)
         return int(_rank_of(sv, (self.s, self.ncols * self.d)))
 
@@ -315,24 +312,9 @@ def _distance_triples(g: Graph) -> TripleSet:
     return TripleSet(np.stack([b, a, a], axis=1) + 1)
 
 
-def _rigidity_operator(f: Framework) -> _ConstraintOperator:
-    return _ConstraintOperator.on_vertices(_distance_triples(f.graph), f.n, f.d)
-
-
-def _weak_rigidity_operator(f: Framework, t: TripleSet) -> _ConstraintOperator:
-    t.require_valid_for(f.graph)
-    return _ConstraintOperator.on_vertices(t, f.n, f.d)
-
-
-def _edge_weak_rigidity_operator(f: Framework, tree: Graph, t: TripleSet) -> _ConstraintOperator:
-    t.require_valid_for(f.graph)
-    _require_spanning_tree(tree, f.graph)
-    return _ConstraintOperator.on_tree_edges(restrict_triples_to_tree(tree, t), tree, f.d)
-
-
 def rigidity_matrix(f: Framework) -> np.ndarray:
     """(m, n*d) Jacobian of the squared edge lengths with respect to p."""
-    return _rigidity_operator(f).dense(f.points)
+    return _ConstraintOperator.on_vertices(_distance_triples(f.graph), f.n, f.d).dense(f.points)
 
 
 def weak_rigidity_function(f: Framework, t: TripleSet) -> np.ndarray:
@@ -349,7 +331,8 @@ def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:
     Row of (i, j, k): (e_ij + e_ik)^T in apex block, -e_ik^T at j, -e_ij^T at
     k; for j == k the leg contributions accumulate to -2 e_ij^T.
     """
-    return _weak_rigidity_operator(f, t).dense(f.points)
+    t.require_valid_for(f.graph)
+    return _ConstraintOperator.on_vertices(t, f.n, f.d).dense(f.points)
 
 
 def _require_spanning_tree(tree: Graph, graph: Graph) -> None:
@@ -377,32 +360,41 @@ def edge_weak_rigidity_matrix(f: Framework, tree: Graph, t: TripleSet) -> np.nda
     ``edge_matrix @ kron(H_tree, I_d) == weak_rigidity_matrix`` holds row-wise
     on the restricted triple set.
     """
-    return _edge_weak_rigidity_operator(f, tree, t).dense(f.points)
+    return _ConstraintOperator.on_tree_edges(_tree_triples(f, tree, t), tree, f.d).dense(f.points)
 
 
-def _require_enough_points(n: int, d: int) -> None:
-    if n <= d:
-        raise UnsupportedRegimeError(f"need n >= d+1 points (got n={n}, d={d})")
+def _tree_triples(f: Framework, tree: Graph, t: TripleSet) -> TripleSet:
+    """The triples of ``t`` in ``tree``, once ``t`` and then the tree are checked against f."""
+    t.require_valid_for(f.graph)
+    _require_spanning_tree(tree, f.graph)
+    return restrict_triples_to_tree(tree, t)
 
 
-def _rank_test(f: Framework, build) -> tuple[int, int]:
-    """(rank of ``build()`` at f's points, required rank); checks n > d first."""
-    _require_enough_points(f.n, f.d)
-    return build().rank(f.points), required_rank(f.n, f.d)
+def _rank_test(f: Framework, triples) -> tuple[int, int]:
+    """(rank of R_w over f's vertex columns, required rank) on ``triples``, a
+    TripleSet or a thunk that returns one. Checks n > d first, then the triples."""
+    if f.n <= f.d:
+        raise UnsupportedRegimeError(f"need n >= d+1 points (got n={f.n}, d={f.d})")
+    t = triples() if callable(triples) else triples
+    t.require_valid_for(f.graph)
+    return _ConstraintOperator.on_vertices(t, f.n, f.d).rank(f.points), required_rank(f.n, f.d)
 
 
 def is_infinitesimally_rigid(f: Framework) -> bool:
-    rank, req = _rank_test(f, lambda: _rigidity_operator(f))
+    rank, req = _rank_test(f, _distance_triples(f.graph))
     return rank == req
 
 
 def is_infinitesimally_weakly_rigid(f: Framework, t: TripleSet) -> bool:
-    rank, req = _rank_test(f, lambda: _weak_rigidity_operator(f, t))
+    rank, req = _rank_test(f, t)
     return rank == req
 
 
 def check_iwr_via_spanning_tree(f: Framework, tree: Graph, t: TripleSet) -> bool:
-    """Sufficient test via the tree-edge Jacobian; False is inconclusive for d >= 3."""
-    rank, req = _rank_test(f, lambda: _edge_weak_rigidity_operator(f, tree, t))
+    """Sufficient test: R_w's rank on the triples of ``t`` in ``tree``. Those
+    rows are J_T (H_T kron I_d) with J_T the tree-edge Jacobian, and H_T kron
+    I_d has full row rank d(n-1), so this is J_T's rank. False is inconclusive
+    in any dimension: another tree, or triples outside the tree, may still
+    certify IWR."""
+    rank, req = _rank_test(f, lambda: _tree_triples(f, tree, t))
     return rank == req
-

@@ -2,7 +2,7 @@
 
 A single run is deterministic for a given configuration; traces carry the
 diagnostics needed to check conservation laws after the fact (cost, residuals,
-edge lengths, centroid, pairwise distances, rank of the point matrix).
+edge lengths, centroid, pairwise distances, rank of the centered points).
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class _Recorder:
         for lo in range(0, pos.shape[0] if iu[0].size else 0, block):
             diff = pos[lo:lo + block, iu[0]] - pos[lo:lo + block, iu[1]]
             min_dist[lo:lo + block] = np.sqrt(np.einsum("tpk,tpk->tp", diff, diff)).min(axis=1)
-        ranks = numerical_rank(pos)
+        centroid = pos.mean(axis=1)
         return SimulationTrace(
             times=times,
             positions=pos,
@@ -128,9 +128,9 @@ class _Recorder:
             residual_norm=np.sqrt(2.0 * costs),
             cost=costs,
             edge_lengths=elens,
-            centroid=pos.mean(axis=1),
+            centroid=centroid,
             min_distance=min_dist,
-            rank_p=ranks,
+            rank_p=numerical_rank(pos - centroid[:, None]),
             termination=termination,
         )
 
@@ -201,7 +201,7 @@ def convergence_rate(trace: SimulationTrace, window: int) -> float:
 
 def monitor_invariants(trace: SimulationTrace, law: Law) -> InvariantReport:
     """Post-hoc conservation report: centroid drift (a gradient-law invariant),
-    rank of the point matrix, and minimum inter-agent distance."""
+    rank of the centered points, and minimum inter-agent distance."""
     drift = float(np.max(np.linalg.norm(trace.centroid - trace.centroid[0], axis=1)))
     return InvariantReport(
         max_centroid_drift=drift,

@@ -414,7 +414,7 @@ def reference_build_formation_triples(gf, gs):
 
 
 def reference_recorder_build(edges, positions):
-    """Edge lengths, minimum pairwise distance and point-matrix rank of the
+    """Edge lengths, minimum pairwise distance and centered-point rank of the
     recorded positions: one norm per edge, and the full (T, n, n, d)
     difference array for the distances."""
     pos = np.array(positions)
@@ -427,7 +427,7 @@ def reference_recorder_build(edges, positions):
     iu = np.triu_indices(pos.shape[1], k=1)
     min_dist = (dists[:, iu[0], iu[1]].min(axis=1)
                 if iu[0].size else np.full(nsamp, np.inf))
-    return elens, min_dist, numerical_rank(pos)
+    return elens, min_dist, numerical_rank(pos - pos.mean(axis=1, keepdims=True))
 
 
 # Reference graph construction and collinearity test: the per-edge validation

@@ -67,6 +67,28 @@ class TestCheck:
         assert main(["check", hexagon_file, "--mode", "tree"]) == 0
         assert "rank 9/9" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["tree", "weak"])
+    def test_near_collinear_star_fails_in_tree_and_weak_modes(self, tmp_path, capsys, mode):
+        """Both modes rank the same rows here, as the star is its own tree."""
+        obj = {"n": 3, "edges": [[1, 2], [1, 3]], "d": 2,
+               "points": [[0.0, 0.0], [1.0, 0.0], [-1.0, 1e-9]]}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "--mode", mode]) == 1
+        assert "no (rank 2/3" in capsys.readouterr().out
+
+    def test_tree_mode_failure_is_inconclusive_in_the_plane(self, tmp_path, capsys):
+        """The BFS tree puts the collinear edges 1-2 and 1-3 at vertex 1, but
+        the tree 1-2-4-3 certifies IWR, and the weak test says so."""
+        obj = {"n": 4, "edges": [[1, 2], [1, 3], [2, 4], [3, 4]], "d": 2,
+               "points": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]}
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "--mode", "tree"]) == 1
+        assert capsys.readouterr().out == "IWR via spanning tree: no (rank 4/5; inconclusive)\n"
+        assert main(["check", str(path), "--mode", "weak"]) == 0
+        assert capsys.readouterr().out == "IWR: yes (rank 5/5)\n"
+
     @pytest.mark.parametrize("mode, code", [("weak", 0), ("rigid", 1), ("tree", 0)])
     def test_rank_is_computed_once(self, hexagon_file, monkeypatch, mode, code):
         calls = []

@@ -1,9 +1,9 @@
-"""Property tests: the apex-blocked rank of every constraint operator against
-the dense reference ``numerical_rank(op.dense(pts))`` in helpers.py, on
-generated connected graphs in d = 1, 2, 3 (full, subset, distance and
-tree-edge sets), plus the edge cases the tolerance and the apex blocks
-meet: no rows, coincident points, vertices that are apex of no row, and stars
-whose leaves sit within 1e-7..1e-10 of a line."""
+"""Property tests: the apex-blocked rank of R_w against the dense reference
+``numerical_rank(op.dense(pts))`` in helpers.py, on generated connected graphs
+in d = 1, 2, 3 (full, subset, distance and spanning-tree sets), plus the edge
+cases the tolerance and the apex blocks meet: no rows, coincident points,
+vertices that are apex of no row, and stars whose leaves sit within
+1e-7..1e-10 of a line."""
 
 import numpy as np
 import pytest
@@ -19,16 +19,18 @@ from weakrig import (  # noqa: E402
     Graph,
     TripleSet,
     check_iwr_via_spanning_tree,
+    edge_weak_rigidity_matrix,
     full_triple_set,
     is_infinitesimally_rigid,
     is_infinitesimally_weakly_rigid,
     min_iwr_spanning_tree,
     minimal_triple_set,
+    numerical_rank,
     required_rank,
     restrict_triples_to_tree,
     spanning_tree,
 )
-from weakrig.framework import _ConstraintOperator, _rigidity_operator  # noqa: E402
+from weakrig.framework import _ConstraintOperator, _distance_triples  # noqa: E402
 
 SV_RTOL = 1e-13
 
@@ -61,18 +63,15 @@ def _subset(rng, t: TripleSet) -> TripleSet:
 
 
 def _operators(fw, rng):
+    """R_w on the full set, a subset, the distance triples, and the triples of
+    the full set and the subset in the BFS spanning tree."""
     full = full_triple_set(fw.graph)
     sub = _subset(rng, full)
     tree = spanning_tree(fw.graph)
-    return {
-        "full": _ConstraintOperator.on_vertices(full, fw.n, fw.d),
-        "subset": _ConstraintOperator.on_vertices(sub, fw.n, fw.d),
-        "distance": _rigidity_operator(fw),
-        "tree full": _ConstraintOperator.on_tree_edges(
-            restrict_triples_to_tree(tree, full), tree, fw.d),
-        "tree subset": _ConstraintOperator.on_tree_edges(
-            restrict_triples_to_tree(tree, sub), tree, fw.d),
-    }
+    sets = {"full": full, "subset": sub, "distance": _distance_triples(fw.graph),
+            "tree full": restrict_triples_to_tree(tree, full),
+            "tree subset": restrict_triples_to_tree(tree, sub)}
+    return {name: _ConstraintOperator.on_vertices(t, fw.n, fw.d) for name, t in sets.items()}
 
 
 def _assert_same_spectrum(op, pts):
@@ -122,34 +121,33 @@ def test_rank_tests_match_dense_reference(fw, data):
     sub_op = _ConstraintOperator.on_vertices(sub, fw.n, fw.d)
     assert is_infinitesimally_weakly_rigid(fw, sub) == (reference_rank(sub_op, fw.points) == req)
     tree = spanning_tree(fw.graph)
-    assert check_iwr_via_spanning_tree(fw, tree, full_triple_set(fw.graph)) \
-        == (reference_rank(ops["tree full"], fw.points) == req)
+    tree_iwr = check_iwr_via_spanning_tree(fw, tree, full_triple_set(fw.graph))
+    assert tree_iwr == (reference_rank(ops["tree full"], fw.points) == req)
+    # the rows are J_T (H_T kron I_d), so the tree-edge Jacobian has their rank
+    assert tree_iwr == (numerical_rank(
+        edge_weak_rigidity_matrix(fw, tree, full_triple_set(fw.graph))) == req)
 
 
-def _blocks(op, apex_counts):
-    """{apex: (rows, sorted local columns)}, counted slot by slot; the apex's
-    own column is left out unless ``apex_counts``."""
+def _blocks(op):
+    """{apex: (rows, sorted leg columns)}, counted slot by slot; the apex's
+    own column is left out: the legs fix it."""
     rows, cols = {}, {}
     for r, c in zip(op._row.tolist(), op._col.tolist()):
         apex = int(op._apex[r])
         rows.setdefault(apex, set()).add(r)
-        if apex_counts or c != apex:
+        if c != apex:
             cols.setdefault(apex, set()).add(c)
     return {a: (sorted(rows[a]), sorted(cols.get(a, ()))) for a in sorted(rows)}
 
 
 def _tall_apexes(op):
-    """Apexes whose rows outnumber d times their local columns, counted row
-    by row. On R_w's vertex columns the apex column is not counted: the legs
-    fix it, so d times the legs is the width."""
-    blocks = _blocks(op, apex_counts=not op._derived).values()
-    return sum(len(rows) > op.d * len(cols) for rows, cols in blocks)
+    """Apexes whose rows outnumber d times their legs, counted row by row."""
+    return sum(len(rows) > op.d * len(cols) for rows, cols in _blocks(op).values())
 
 
-def _reduced_rows(op, apex_counts):
+def _reduced_rows(op):
     """Rows passing through plus d times the width of each tall block."""
-    return sum(min(len(rows), op.d * len(cols))
-               for rows, cols in _blocks(op, apex_counts).values())
+    return sum(min(len(rows), op.d * len(cols)) for rows, cols in _blocks(op).values())
 
 
 def _qr_calls(op, pts):
@@ -178,9 +176,9 @@ def test_vertex_blocks_reduce_on_their_leg_columns(fw, data):
     and the singular values are those of ``dense``."""
     d, ops = fw.d, _operators(fw, _rng(data.draw))
     for op in (ops["full"], ops["subset"]):
-        pts, blocks = fw.points, _blocks(op, apex_counts=False)
+        pts, blocks = fw.points, _blocks(op)
         reduced, dense = op.reduced(pts), op.dense(pts)
-        assert reduced.shape[0] == _reduced_rows(op, apex_counts=False)
+        assert reduced.shape[0] == _reduced_rows(op)
         tall = {a: cols for a, (rows, cols) in blocks.items() if len(rows) > d * len(cols)}
         passing = [r for rows, cols in blocks.values() if len(rows) <= d * len(cols) for r in rows]
         top = len(passing)
@@ -195,30 +193,15 @@ def test_vertex_blocks_reduce_on_their_leg_columns(fw, data):
         _assert_same_spectrum(op, pts)
 
 
-@given(frameworks(), st.data())
-def test_other_operators_keep_the_apex_column(fw, data):
-    """Rbar's angle rows have no leg slots and tree-edge columns have no apex
-    column, so their blocks count the apex's own column; no distance block
-    is ever tall."""
-    ops = _operators(fw, _rng(data.draw))
-    barred = _ConstraintOperator.on_vertices(full_triple_set(fw.graph), fw.n, fw.d, barred=True)
-    for op in (barred, ops["tree full"], ops["tree subset"]):
-        assert op.reduced(fw.points).shape[0] == _reduced_rows(op, apex_counts=True)
-    assert ops["distance"].reduced(fw.points).shape[0] == ops["distance"].s
-
-
 def test_qr_calls_on_fixtures(hexagon_framework, hexagon_triples):
     """The hexagon's sets have no tall apex, so they take no QR; the centre
     of a 30-leaf star is the one tall apex of its full set."""
     fw = hexagon_framework
     tree = spanning_tree(fw.graph)
     tdag = minimal_triple_set(min_iwr_spanning_tree(fw), fw.config)
-    for op in (_rigidity_operator(fw),
-               _ConstraintOperator.on_vertices(hexagon_triples, fw.n, fw.d),
-               _ConstraintOperator.on_vertices(tdag, fw.n, fw.d),
-               _ConstraintOperator.on_tree_edges(
-                   restrict_triples_to_tree(tree, hexagon_triples), tree, fw.d)):
-        assert _qr_calls(op, fw.points) == 0
+    for t in (_distance_triples(fw.graph), hexagon_triples, tdag,
+              restrict_triples_to_tree(tree, hexagon_triples)):
+        assert _qr_calls(_ConstraintOperator.on_vertices(t, fw.n, fw.d), fw.points) == 0
     star = Graph(31, tuple((1, j) for j in range(2, 32)))
     pts = np.random.default_rng(31).uniform(-1.0, 1.0, (31, 2))
     assert _qr_calls(_ConstraintOperator.on_vertices(full_triple_set(star), 31, 2), pts) == 1
@@ -226,10 +209,9 @@ def test_qr_calls_on_fixtures(hexagon_framework, hexagon_triples):
 
 def test_no_rows():
     fw = Framework(Graph(3, ((1, 2), (2, 3))), Configuration(np.eye(3)[:, :2]))
-    for op in (_ConstraintOperator.on_vertices(TripleSet(()), 3, 2),
-               _ConstraintOperator.on_tree_edges(TripleSet(()), fw.graph, 2)):
-        assert op.reduced(fw.points).shape == (0, op.ncols * 2)
-        assert op.rank(fw.points) == reference_rank(op, fw.points) == 0
+    op = _ConstraintOperator.on_vertices(TripleSet(()), 3, 2)
+    assert op.reduced(fw.points).shape == (0, 6)
+    assert op.rank(fw.points) == reference_rank(op, fw.points) == 0
     assert not is_infinitesimally_weakly_rigid(fw, TripleSet(()))
 
 
@@ -254,32 +236,47 @@ def test_vertices_that_are_apex_of_no_row():
     rng = np.random.default_rng(30)
     for d in (1, 2, 3):
         pts = rng.uniform(-1.0, 1.0, (5, d))
-        for op in (_ConstraintOperator.on_vertices(t, 5, d),
-                   _ConstraintOperator.on_tree_edges(t, graph, d)):
-            _assert_same_spectrum(op, pts)
+        op = _ConstraintOperator.on_vertices(t, 5, d)
+        _assert_same_spectrum(op, pts)
         assert is_infinitesimally_weakly_rigid(Framework(graph, Configuration(pts)), t) \
-            == (reference_rank(_ConstraintOperator.on_vertices(t, 5, d), pts)
-                == required_rank(5, d))
+            == (reference_rank(op, pts) == required_rank(5, d))
+
+
+def _near_collinear_star(rng, eps):
+    """A star whose 2..6 leaves sit within eps of a line through the centre,
+    rotated and shifted."""
+    k = int(rng.integers(2, 7))
+    along = rng.uniform(-1.0, 1.0, k)
+    along[np.abs(along) < 0.1] += 0.3
+    pts = np.zeros((k + 1, 2))
+    pts[1:] = np.column_stack([along, eps * rng.uniform(-1.0, 1.0, k)])
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    pts = pts @ rot.T + rng.uniform(-1.0, 1.0, 2)
+    return Framework(Graph(k + 1, tuple((1, j) for j in range(2, k + 2))), Configuration(pts))
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_near_collinear_stars(eps):
-    """Stars whose 2..6 leaves sit within eps of a line through the centre,
-    rotated and shifted: the band where decisions sit near the tolerance.
+    """Near-collinear stars: the band where decisions sit near the tolerance.
     Blocked and dense decisions agree on every star."""
     rng = np.random.default_rng(int(round(-np.log10(eps))))
     for _ in range(50):
-        k = int(rng.integers(2, 7))
-        along = rng.uniform(-1.0, 1.0, k)
-        along[np.abs(along) < 0.1] += 0.3
-        pts = np.zeros((k + 1, 2))
-        pts[1:] = np.column_stack([along, eps * rng.uniform(-1.0, 1.0, k)])
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        pts = pts @ rot.T + rng.uniform(-1.0, 1.0, 2)
-        fw = Framework(Graph(k + 1, tuple((1, j) for j in range(2, k + 2))), Configuration(pts))
+        fw = _near_collinear_star(rng, eps)
         for op in _operators(fw, rng).values():
-            _assert_same_spectrum(op, pts)
+            _assert_same_spectrum(op, fw.points)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9, 1e-10])
+def test_tree_test_is_the_weak_test_on_the_tree_triples(eps):
+    """On near-collinear stars the spanning-tree test decides exactly as the
+    weak test on the same rows, the triples inside the tree."""
+    rng = np.random.default_rng(int(round(-np.log10(eps))))
+    for _ in range(300):
+        fw = _near_collinear_star(rng, eps)
+        full, tree = full_triple_set(fw.graph), spanning_tree(fw.graph)
+        assert check_iwr_via_spanning_tree(fw, tree, full) \
+            == is_infinitesimally_weakly_rigid(fw, restrict_triples_to_tree(tree, full))
 
 
 def test_tolerance_uses_the_logical_shape():

@@ -307,7 +307,8 @@ class TestStackedRank:
     def test_trace_rank_matches_per_sample_rank(self, hexagon_target, designed_gain):
         trace = integrate(hexagon_run_config(hexagon_target, designed_gain, seed=3,
                                              t_max=1.0))
-        assert trace.rank_p.tolist() == [numerical_rank(p) for p in trace.positions]
+        assert trace.rank_p.tolist() == [numerical_rank(p - p.mean(axis=0))
+                                         for p in trace.positions]
 
 
 class TestRecorderBuild:
@@ -458,8 +459,8 @@ class TestMonitorInvariants:
         assert report.collision_events == 0
 
     def test_rank_drop_is_flagged(self):
-        """Points that fall onto a line through the origin lower the rank of
-        the point matrix from 2 to 1 partway through the trace."""
+        """Points that fall onto a line lower the rank of the centered points
+        from 2 to 1 partway through the trace."""
         rec = simulate._Recorder(Graph(3, ((1, 2), (2, 3)))._ends, 4)
         plane = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         line = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
@@ -468,6 +469,18 @@ class TestMonitorInvariants:
         trace = rec.build("t_max")
         assert trace.rank_p.tolist() == [2, 2, 1]
         assert not monitor_invariants(trace, Law.GRADIENT).rank_constant
+
+    def test_collinear_start_keeps_centered_rank_one(self):
+        """A collinear start off the origin stays on its line under the
+        gradient law (every velocity is a sum of edge vectors along it). The
+        point matrix has rank 2 there, but the centered points rank 1."""
+        pts = np.array([[0.0, 1.0], [1.0, 1.0], [2.5, 1.0]])
+        cfg = SimulationConfig(Configuration(pts), ControllerSpec(Law.GRADIENT, triangle_target()),
+                               t_max=2.0)
+        trace = integrate(cfg)
+        assert numerical_rank(trace.positions[0]) == 2
+        assert trace.rank_p.tolist() == [1] * len(trace)
+        assert monitor_invariants(trace, Law.GRADIENT).rank_constant
 
     def test_nongradient_flagged(self, hexagon_target, designed_gain):
         cfg = hexagon_run_config(hexagon_target, designed_gain, seed=42, t_max=5.0)
