@@ -15,7 +15,10 @@ import numpy as np
 
 from .errors import DomainError, InputError, UnsupportedRegimeError
 from .graphs import Graph, _int_rows, _raise_first_failing, is_connected
-from .linalg import _rank_of
+from .linalg import RANK_RTOL, _minor_axes, _rank_of
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+_GRAM_ROWS = 1 << 15  # rows of R_w per chunk of G's sums: bounds their temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +179,9 @@ class _ConstraintOperator:
     slot vector. On vertex columns the first 2s slots are the e1 and e2 table.
 
     Every row is zero outside the columns its apex's slots touch, so the
-    rank tests reduce each apex's rows of R_w to an R factor (``reduced``)
-    and never form the dense matrix.
+    rank tests prove a yes from R_wᵀR_w (``_certifies``) or reduce each
+    apex's rows of R_w to an R factor (``reduced``), and never form the
+    dense matrix.
     """
 
     def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail):
@@ -285,9 +289,69 @@ class _ConstraintOperator:
 
     def rank(self, pts: np.ndarray) -> int:
         """``numerical_rank(dense(pts))`` for R_w: the singular values of
-        ``reduced`` against the tolerance of the (s, ncols*d) shape."""
+        ``reduced`` against the tolerance of the (s, ncols*d) shape. A yes
+        that ``_certifies`` proves takes no SVD; every other answer does."""
+        req = required_rank(self.ncols, self.d)
+        if self._certifies(pts, req):
+            return req
         sv = np.linalg.svd(self.reduced(pts), compute_uv=False)
         return int(_rank_of(sv, (self.s, self.ncols * self.d)))
+
+    def _certifies(self, pts: np.ndarray, req: int) -> bool:
+        """True only if the SVD rule of ``rank`` provably counts ``req``, by
+        the checks and cuts of the README's "Numerical conventions": the
+        upper cut σ_{req+1} <= ‖R_w T‖_F, and a Cholesky of G + F²TTᵀ - τI,
+        G = R_wᵀR_w, summed from each row's vertex blocks (e1+e2 at the apex,
+        -e2 at j, -e1 at k) and shifted as Rump's BIT 46 (2006) proves."""
+        s, d, n = self.s, self.d, self.ncols
+        nd, t, a, k = n * d, d * (d + 1) // 2, 2 * s, self._row.size
+        if not 0 < req <= s:
+            return False
+        # one power of two brings the largest entry to [0.5, 1): exact, and
+        # G can neither overflow nor underflow
+        e = pts.take(self._idx[:a], axis=0) - pts.take(self._idx[k:k + a], axis=0)
+        e = np.ldexp(e, -np.frexp(np.abs(e).max())[1]).reshape(2, s, d)
+        blocks = np.stack([e[0] + e[1], -e[1], -e[0]], axis=1)
+        verts = self._col.reshape(4, s)[[0, 2, 3]].T
+        f2 = float(np.square(blocks).sum())
+        # translations, and rotations about point 1: a difference of points
+        # rounds relative to itself, not to their distance from the origin
+        q = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
+        q, (i, j) = q - q[0], _minor_axes(d)
+        m = np.zeros((n, d, t))
+        m[:, range(d), range(d)] = 1.0
+        m[:, i, range(d, t)], m[:, j, range(d, t)] = -q[:, j], q[:, i]
+        motions, tri = np.linalg.qr(m.reshape(nd, t))
+        if f2 == 0 or np.any(abs(tri.diagonal())
+                             <= nd * RANK_RTOL * np.linalg.norm(m, axis=(0, 1))):
+            return False  # R_w = 0, or the trivial motions lose rank
+        # slack covers the rounding of F, of T and of the SVD, relative to F
+        big, f, slack = max(s, nd), np.sqrt(f2), 16 * (s * d + nd) * _U
+        err, cut = slack * f, motions.reshape(n, d, t)
+        rt = sum(np.einsum("rd,rdt->rt", blocks[:, c], cut[verts[:, c]]) for c in range(3))
+        if ((np.linalg.norm(rt) + 2 * err) * (1 + slack)
+                >= big * RANK_RTOL * (f / np.sqrt(min(s, nd)) - err) * (1 - slack)):
+            return False
+        g, rows = np.zeros((n, d, n, d)), _GRAM_ROWS
+        for lo in range(0, s, rows):
+            b, v = blocks[lo:lo + rows], verts[lo:lo + rows]
+            pair = (v[:, :, None] * n + v[:, None, :]).ravel()
+            for x, y in np.ndindex(d, d):
+                w = (b[:, :, None, x] * b[:, None, :, y]).ravel()
+                g[:, x, :, y] += np.bincount(pair, w, n * n).reshape(n, n)
+        g = g.reshape(nd, nd)
+        g += (f2 * motions) @ motions.T
+        # a G entry sums at most 2 products per row through its vertex and
+        # one more per chunk; the update and the shifts round in their turn
+        terms = 2 * int(np.bincount(verts.ravel()).max()) - (-s // rows) + 1
+        tau = ((big * RANK_RTOL * (f + err) * (1 + slack) + err) ** 2
+               + 2 * (_gamma(terms) + (1 + t) * _gamma((t + 2) ** 2)) * f2)
+        g.reshape(-1)[::nd + 1] -= tau + _gamma(nd + 1) / (1 - _gamma(nd + 1)) * np.trace(g)
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
 
 def _scatter_add(cells: np.ndarray, vals: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -295,6 +359,11 @@ def _scatter_add(cells: np.ndarray, vals: np.ndarray, flat: np.ndarray) -> np.nd
     order at cells ``cells[k] + coordinate``."""
     np.add.at(flat, (cells[:, None] + np.arange(vals.shape[1])).ravel(), vals.ravel())
     return flat
+
+
+def _gamma(k: int) -> float:
+    """Higham's γ_k = ku/(1 - ku): the relative error bound of k roundings."""
+    return k * _U / (1 - k * _U)
 
 
 def _rank_in_group(group: np.ndarray) -> np.ndarray:

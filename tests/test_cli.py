@@ -91,16 +91,19 @@ class TestCheck:
 
     @pytest.mark.parametrize("mode, code", [("weak", 0), ("rigid", 1), ("tree", 0)])
     def test_rank_is_computed_once(self, hexagon_file, monkeypatch, mode, code):
-        calls = []
-        svd = np.linalg.svd
+        """One rank test per call, and at most one SVD: a certified yes takes none."""
+        calls = {"rank": 0, "svd": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(_ConstraintOperator, "rank", counted("rank", _ConstraintOperator.rank))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         assert main(["check", hexagon_file, "--mode", mode]) == code
-        assert len(calls) == 1
+        assert calls["rank"] == 1 and calls["svd"] <= 1
 
     def test_explicit_triples_file(self, hexagon_file, tmp_path, capsys):
         trips = {"triples": [[2, 1, 1], [3, 2, 2]]}

@@ -31,6 +31,7 @@ from weakrig import (  # noqa: E402
     spanning_tree,
 )
 from weakrig.framework import _ConstraintOperator, _distance_triples  # noqa: E402
+from weakrig.linalg import _rank_of  # noqa: E402
 
 SV_RTOL = 1e-13
 
@@ -72,6 +73,16 @@ def _operators(fw, rng):
             "tree full": restrict_triples_to_tree(tree, full),
             "tree subset": restrict_triples_to_tree(tree, sub)}
     return {name: _ConstraintOperator.on_vertices(t, fw.n, fw.d) for name, t in sets.items()}
+
+
+def _svd_rank(op, pts):
+    """The SVD rule on ``reduced``, without the certificate."""
+    sv = np.linalg.svd(op.reduced(pts), compute_uv=False)
+    return int(_rank_of(sv, (op.s, op.ncols * op.d)))
+
+
+def _certified(op, pts):
+    return op._certifies(pts, required_rank(op.ncols, op.d))
 
 
 def _assert_same_spectrum(op, pts):
@@ -218,7 +229,7 @@ def test_no_rows():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_coincident_points_use_the_floor(d):
     """sigma_1 = 0, so the tolerance is 0, no singular value exceeds it and
-    the rank is 0."""
+    the rank is 0. R_w = 0 leaves the certificate nothing to prove."""
     n = d + 3
     graph = Graph(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
     fw = Framework(graph, Configuration(np.full((n, d), 0.25)))
@@ -226,6 +237,7 @@ def test_coincident_points_use_the_floor(d):
     for op in ops.values():
         assert op.rank(fw.points) == reference_rank(op, fw.points) == 0
         assert not op.reduced(fw.points).any()
+        assert not _certified(op, fw.points)
 
 
 def test_vertices_that_are_apex_of_no_row():
@@ -294,3 +306,105 @@ def test_tolerance_uses_the_logical_shape():
     between = (sv > 1e-10 * sv[0] * max(reduced.shape)) & (sv <= 1e-10 * sv[0] * op.s)
     assert reduced.shape == (90, 62) and op.s == 465 and between.sum() == 28
     assert op.rank(pts) == reference_rank(op, pts) == 31
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Connected graphs on d+1..12 vertices, d = 1..3, with generic points,
+    small-integer grids, points within 1e-5..1e-11 of a line, translated by
+    1e4..1e9, scaled by 1e±150, or with one point repeated."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 12))
+    rng = _rng(draw)
+    graph = random_connected_graph(rng, n, draw(st.sampled_from((0.2, 0.5, 1.0))))
+    pts = rng.uniform(-1.0, 1.0, (n, d))
+    kind = draw(st.sampled_from(("generic", "integer", "near a line", "translated", "scaled",
+                                 "repeated")))
+    if kind == "integer":
+        pts = rng.integers(-3, 4, (n, d)).astype(float)
+    elif kind == "near a line":
+        line = rng.normal(size=d)
+        pts = np.outer(pts[:, 0], line / np.linalg.norm(line)) \
+            + 10.0 ** -draw(st.integers(5, 11)) * rng.uniform(-1.0, 1.0, (n, d))
+    elif kind == "translated":
+        pts += 10.0 ** draw(st.integers(4, 9))
+    elif kind == "scaled":
+        pts *= 10.0 ** draw(st.sampled_from((-150, 150)))
+    elif kind == "repeated":
+        pts[1] = pts[0]
+    return Framework(graph, Configuration(pts))
+
+
+@given(certificate_inputs(), st.data())
+def test_certified_yes_is_the_svd_rank(fw, data):
+    """Whenever the certificate says yes, the SVD rule counts exactly the
+    required rank on ``reduced``; either way ``rank`` is the SVD rule's
+    answer. On the full set and a random half of it."""
+    full = full_triple_set(fw.graph)
+    half = TripleSet(full._arr[_rng(data.draw).random(full.s) < 0.5])
+    for t in (full, half):
+        op = _ConstraintOperator.on_vertices(t, fw.n, fw.d)
+        if _certified(op, fw.points):
+            assert _svd_rank(op, fw.points) == required_rank(fw.n, fw.d)
+        assert op.rank(fw.points) == _svd_rank(op, fw.points)
+
+
+def _complete_graph(n):
+    return Graph(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_collinear_points_in_space_decline(n):
+    """On a line in R^3 the rotation about the line moves nothing, so the
+    trivial motions lose rank and the certificate declines; the SVD answers.
+    With n = 2 that rank, 1, exceeds the required 0."""
+    pts = np.outer(np.linspace(-1.0, 2.0, n) ** 3, (1.0, 2.0, -0.5)) + (0.3, 0.1, 0.2)
+    op = _ConstraintOperator.on_vertices(full_triple_set(_complete_graph(n)), n, 3)
+    assert numerical_rank(pts - pts.mean(axis=0)) == 1
+    assert not _certified(op, pts)
+    assert op.rank(pts) == reference_rank(op, pts) == _svd_rank(op, pts)
+    assert (op.rank(pts) > required_rank(n, 3)) == (n == 2)
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("a certified yes takes no SVD")
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_prescale_certifies_far_scales(hexagon_framework, monkeypatch, k):
+    """The hexagon scaled by 2^k: one power of two brings its slot vectors
+    back to [0.5, 1), so G neither overflows nor underflows."""
+    fw = hexagon_framework
+    pts = np.ldexp(fw.points, k)
+    op = _ConstraintOperator.on_vertices(full_triple_set(fw.graph), fw.n, fw.d)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    assert _certified(op, pts)
+    assert op.rank(pts) == required_rank(fw.n, fw.d)
+
+
+def test_weak_test_takes_no_svd_when_certified(hexagon_framework, monkeypatch):
+    """The hexagon's full set and a seeded sparse n = 100 framework (average
+    degree about 6) are decided without an SVD."""
+    rng = np.random.default_rng(100)
+    sparse = Framework(random_connected_graph(rng, 100, 0.04),
+                       Configuration(rng.uniform(-1.0, 1.0, (100, 2))))
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    for fw in (hexagon_framework, sparse):
+        assert is_infinitesimally_weakly_rigid(fw, full_triple_set(fw.graph))
+
+
+def test_just_below_the_tolerance_is_declined():
+    """Vertex 61 on a line hangs on the full set of K_60 by one row, whose
+    coefficient p_1 - p_2 = 2^-11 sets σ_req = 0.85 of the tolerance. With
+    104,431 rows the tolerance, not the certificate's rounding allowance,
+    decides there; the certificate must decline and the SVD say no."""
+    n = 61
+    core = full_triple_set(_complete_graph(n - 1))
+    op = _ConstraintOperator.on_vertices(TripleSet(np.r_[core._arr, [[1, 2, n]]]), n, 1)
+    pts = np.linspace(0.0, 1.0, n)[:, None]
+    pts[1] = pts[0] + 2.0 ** -11
+    sv = np.linalg.svd(op.reduced(pts), compute_uv=False)
+    req = required_rank(n, 1)
+    assert 0.5 < sv[req - 1] / (op.s * sv[0] * 1e-10) < 1.0
+    assert not _certified(op, pts)
+    assert op.rank(pts) == _svd_rank(op, pts) == req - 1
