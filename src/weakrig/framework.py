@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, UnsupportedRegimeError
 from .graphs import Graph, _int_rows, _raise_first_failing, is_connected
-from .linalg import RANK_RTOL, _minor_axes, _rank_of
+from .linalg import _U, RANK_RTOL, _gamma, _minor_axes, _rank_of
 
-_U = np.finfo(float).eps / 2  # unit roundoff
 _GRAM_ROWS = 1 << 15  # rows of R_w per chunk of G's sums: bounds their temporaries
 
 
@@ -359,11 +358,6 @@ def _scatter_add(cells: np.ndarray, vals: np.ndarray, flat: np.ndarray) -> np.nd
     order at cells ``cells[k] + coordinate``."""
     np.add.at(flat, (cells[:, None] + np.arange(vals.shape[1])).ravel(), vals.ravel())
     return flat
-
-
-def _gamma(k: int) -> float:
-    """Higham's γ_k = ku/(1 - ku): the relative error bound of k roundings."""
-    return k * _U / (1 - k * _U)
 
 
 def _rank_in_group(group: np.ndarray) -> np.ndarray:

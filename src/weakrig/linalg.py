@@ -6,6 +6,7 @@ import numpy as np
 
 RANK_RTOL = 1e-10
 COLLINEAR_RTOL = 1e-9
+_U = np.finfo(float).eps / 2  # unit roundoff
 
 
 def numerical_rank(m):
@@ -24,6 +25,11 @@ def _rank_of(sv, shape):
     * 1e-10``, where ``shape`` is that of the matrix they came from. Every
     rank the package decides is counted by this rule."""
     return np.count_nonzero(sv > max(shape) * sv[..., :1] * RANK_RTOL, axis=-1)
+
+
+def _gamma(k: int) -> float:
+    """Higham's γ_k = ku/(1 - ku): the relative error bound of k roundings."""
+    return k * _U / (1 - k * _U)
 
 
 @cache

@@ -8,15 +8,18 @@ points along the tree, and certifying the rest of the matrix.
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 
 from .errors import DomainError, InputError, NotRealizableError
 from .framework import Configuration, Framework
 from .graphs import Graph, _bfs
-from .linalg import _rank_of
+from .linalg import _U, _gamma, _rank_of
 
 PSD_CLAMP_RTOL = 1e-10
-_CERTIFY_BLOCK = 2**14  # Gram entries per row strip of the realizability certificate
+_STRIP = 2**14  # Gram entries per row strip, in gram and in the realizability certificate
+_UNDERFLOW = 2 * np.sqrt(np.finfo(float).tiny)  # per row of a norm: what underflow can lose
 
 
 def edm(c: Configuration) -> np.ndarray:
@@ -33,9 +36,14 @@ def edge_vector_matrix(f: Framework) -> np.ndarray:
 
 
 def gram(f: Framework) -> np.ndarray:
-    """(m, m) edge Gram matrix E^T E over the canonical edge order."""
+    """(m, m) edge Gram matrix E^T E over the canonical edge order, in row
+    strips: OpenBLAS is several times slower on the one-shot product."""
     e = edge_vector_matrix(f)
-    return e.T @ e
+    m = e.shape[1]
+    out, rows = np.empty((m, m)), max(1, _STRIP // max(m, 1))
+    for lo in range(0, m, rows):
+        np.matmul(e[:, lo:lo + rows].T, e, out=out[lo:lo + rows])
+    return out
 
 
 def _require_same_shape(p: Configuration, q: Configuration) -> None:
@@ -95,10 +103,11 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
 
     Checks the (n-1)x(n-1) block of ``g`` on the BFS spanning-tree edges for
     symmetry, PSD (eigenvalues within -1e-10 of the largest are clamped) and
-    rank <= d (the ``numerical_rank`` rule), factors it (top-d eigenpairs) and
-    places the points along the tree from p_1 = origin. The tree edges fix
-    every other edge by the cycle law, so all of ``g`` is then certified
-    against the rebuilt framework's Gram matrix: an entry off by more than
+    rank <= d (the ``numerical_rank`` rule), factors it by ``_proved_factor``
+    or else by its top-d eigenpairs, which word every error, and places the
+    points along the tree from p_1 = origin. The tree edges fix every other
+    edge by the cycle law, so all of ``g`` is then certified against the
+    rebuilt framework's Gram matrix: an entry off by more than
     ``PSD_CLAMP_RTOL * max|g|`` (no floor) raises NotRealizableError. The
     result is congruent to any realization.
     """
@@ -122,8 +131,33 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
         raise InputError("Gram matrix must be finite")
     scale = max(gmax, -gmin)
     block = g[np.ix_(tree, tree)]
-    if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
+    asym = float(np.max(np.abs(block - block.T)))
+    if asym > 1e-12 * scale:
         raise InputError("Gram matrix is not symmetric")
+    k = min(d, graph.n - 1)
+
+    def place(factor: np.ndarray) -> Configuration:
+        # p_child - p_parent along each tree edge, whose column holds p_min - p_max
+        pts = np.zeros((graph.n, d))
+        pts[child, :k] = factor
+        pts[child[up < child]] *= -1.0
+        up_pos, t = np.argsort(order)[up], 0  # BFS: children of placed vertices come next
+        while t < child.size:
+            t, done = int(np.searchsorted(up_pos, t + 1)), t
+            pts[child[done:t]] += pts[up[done:t]]
+        rebuilt = Framework(graph, Configuration(pts))
+        e = edge_vector_matrix(rebuilt).T
+        tol, rows = PSD_CLAMP_RTOL * scale, max(1, _STRIP // m)
+        for lo in range(0, m, rows):
+            gap = float(np.max(np.abs(g[lo:lo + rows] - e[lo:lo + rows] @ e.T)))
+            if gap > tol:
+                raise NotRealizableError(f"Gram matrix breaks the cycle law by {gap:.3e} "
+                                         f"(tolerance {tol:.3e})")
+        return rebuilt.config
+
+    if (x := _proved_factor(block, k, asym)) is not None:
+        with suppress(NotRealizableError):  # then eigh decides, and words, the error
+            return place(x)
     w, v = np.linalg.eigh(block)
     if float(w[0]) < -PSD_CLAMP_RTOL * float(w[-1]):
         raise NotRealizableError(
@@ -135,22 +169,28 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
         raise NotRealizableError(
             f"Gram matrix has numerical rank {rank}, not realizable in dimension {d}"
         )
-    k = min(d, graph.n - 1)
-    # p_child - p_parent along each tree edge, whose column holds p_min - p_max
-    pts = np.zeros((graph.n, d))
-    pts[child, :k] = v[:, -k:] * np.sqrt(w[-k:])
-    pts[child[up < child]] *= -1.0
-    up_pos, t = np.argsort(order)[up], 0  # BFS: children of placed vertices come next
-    while t < child.size:
-        t, done = int(np.searchsorted(up_pos, t + 1)), t
-        pts[child[done:t]] += pts[up[done:t]]
-    rebuilt = Framework(graph, Configuration(pts))
-    e = edge_vector_matrix(rebuilt).T
-    tol = PSD_CLAMP_RTOL * scale
-    rows = max(1, _CERTIFY_BLOCK // m)
-    for lo in range(0, m, rows):
-        gap = float(np.max(np.abs(g[lo:lo + rows] - e[lo:lo + rows] @ e.T)))
-        if gap > tol:
-            raise NotRealizableError(f"Gram matrix breaks the cycle law by {gap:.3e} "
-                                     f"(tolerance {tol:.3e})")
-    return rebuilt.config
+    return place(v[:, -k:] * np.sqrt(w[-k:]))
+
+
+def _proved_factor(block: np.ndarray, k: int, asym: float) -> np.ndarray | None:
+    """X from k steps of diagonally pivoted Cholesky on the tree block B, or
+    None unless X proves, as the README's "Numerical conventions" shows, that
+    the eigh checks of ``recover_shape`` pass on B. ``asym`` is max|B - Bᵀ|."""
+    x, rest = np.zeros_like(block[:, :k]), block.diagonal().copy()
+    noise = _gamma(2 * k) * max(float(rest.max()), 0.0)  # a pivot below it is rounding
+    for j in range(k):
+        p = int(np.argmax(rest))
+        if not rest[p] > noise:
+            break
+        x[:, j] = (block[:, p] - x[:, :j] @ x[p, :j]) / np.sqrt(rest[p])
+        rest -= np.square(x[:, j])
+    resid = x @ x.T
+    resid -= block
+    size = len(block)  # slack: each norm's sum of squares and root; eig: eigh's error
+    slack, floor = _gamma(size * size + 1), size * (asym + _UNDERFLOW)
+    b = float(np.linalg.norm(block)) * (1 + slack) + floor
+    x2, eig = float(np.vdot(x, x)), _gamma(16 * size) * b
+    r = (float(np.linalg.norm(resid)) * (1 + slack) + floor + eig
+         + _gamma(k + 1) * (b + x2 * (1 + slack)))
+    top = max(float(block.diagonal().max()), x2 * (1 - slack) / k - r)
+    return x if r < PSD_CLAMP_RTOL * (top - eig) * (1 - 4 * _U) else None

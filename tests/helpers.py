@@ -29,7 +29,7 @@ from weakrig import (
 )
 from weakrig.graphs import _bfs
 from weakrig.linalg import _rank_of
-from weakrig.shape import _CERTIFY_BLOCK, PSD_CLAMP_RTOL
+from weakrig.shape import _STRIP, PSD_CLAMP_RTOL, _proved_factor
 
 
 def random_connected_graph(rng, n, extra_prob=0.3):
@@ -698,15 +698,19 @@ def reference_recover_shape(g, graph, d):
 # ``recover_shape`` as it was when it placed the points one child at a time,
 # kept so the level-by-level placement can be checked against it bit for bit.
 
-def reference_recover_shape_by_child(g, graph, d):
+def reference_recover_shape_by_child(g, graph, d, proved_factor=True):
     """Reconstruct coordinates whose edge Gram matrix equals ``g``.
 
     Checks the (n-1)x(n-1) block of ``g`` on the BFS spanning-tree edges for
     symmetry, PSD (eigenvalues within -1e-10 of the largest are clamped) and
-    rank <= d, factors it (top-d eigenpairs) and places the points along the
-    tree from p_1 = origin. The tree edges fix every other edge by the cycle
-    law, so all of ``g`` is then certified against the rebuilt framework's
-    Gram matrix: an entry off by more than ``PSD_CLAMP_RTOL * max|g|`` raises
+    rank <= d, factors it and places the points along the tree from p_1 =
+    origin. It places the factor that ``recover_shape`` chooses: the pivoted
+    one of ``_proved_factor`` when that proves the eigh checks and realizes
+    ``g``, else the top-d eigenpairs. With ``proved_factor=False`` it always
+    takes the eigenpairs, as ``recover_shape`` did before it had that
+    factor. The tree edges fix every other edge by the cycle law, so all of
+    ``g`` is then certified against the rebuilt framework's Gram matrix: an
+    entry off by more than ``PSD_CLAMP_RTOL * max|g|`` raises
     NotRealizableError. The result is congruent to any realization.
     """
     order, parent = _bfs(graph)
@@ -729,8 +733,35 @@ def reference_recover_shape_by_child(g, graph, d):
         raise InputError("Gram matrix must be finite")
     scale = max(gmax, -gmin)
     block = g[np.ix_(tree, tree)]
-    if float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
+    asym = float(np.max(np.abs(block - block.T)))
+    if asym > 1e-12 * scale:
         raise InputError("Gram matrix is not symmetric")
+    k = min(d, graph.n - 1)
+
+    def place(factor):
+        # p_child - p_parent along each tree edge, whose column holds p_min - p_max
+        pts = np.zeros((graph.n, d))
+        pts[child, :k] = factor
+        pts[child[up < child]] *= -1.0
+        for u, c in zip(up, child):  # BFS order places every parent before its children
+            pts[c] += pts[u]
+        rebuilt = Framework(graph, Configuration(pts))
+        e = edge_vector_matrix(rebuilt).T
+        tol = PSD_CLAMP_RTOL * scale
+        rows = max(1, _STRIP // m)
+        for lo in range(0, m, rows):
+            gap = float(np.max(np.abs(g[lo:lo + rows] - e[lo:lo + rows] @ e.T)))
+            if gap > tol:
+                raise NotRealizableError(f"Gram matrix breaks the cycle law by {gap:.3e} "
+                                         f"(tolerance {tol:.3e})")
+        return rebuilt.config
+
+    x = _proved_factor(block, k, asym) if proved_factor else None
+    if x is not None:
+        try:
+            return place(x)
+        except NotRealizableError:
+            pass
     w, v = np.linalg.eigh(block)
     if float(w[0]) < -PSD_CLAMP_RTOL * float(w[-1]):
         raise NotRealizableError(
@@ -742,23 +773,35 @@ def reference_recover_shape_by_child(g, graph, d):
         raise NotRealizableError(
             f"Gram matrix has numerical rank {rank}, not realizable in dimension {d}"
         )
-    k = min(d, graph.n - 1)
-    # p_child - p_parent along each tree edge, whose column holds p_min - p_max
-    pts = np.zeros((graph.n, d))
-    pts[child, :k] = v[:, -k:] * np.sqrt(w[-k:])
-    pts[child[up < child]] *= -1.0
-    for u, c in zip(up, child):  # BFS order places every parent before its children
-        pts[c] += pts[u]
-    rebuilt = Framework(graph, Configuration(pts))
-    e = edge_vector_matrix(rebuilt).T
-    tol = PSD_CLAMP_RTOL * scale
-    rows = max(1, _CERTIFY_BLOCK // m)
-    for lo in range(0, m, rows):
-        gap = float(np.max(np.abs(g[lo:lo + rows] - e[lo:lo + rows] @ e.T)))
-        if gap > tol:
-            raise NotRealizableError(f"Gram matrix breaks the cycle law by {gap:.3e} "
-                                     f"(tolerance {tol:.3e})")
-    return rebuilt.config
+    return place(v[:, -k:] * np.sqrt(w[-k:]))
+
+
+def reference_recover_shape_eigh(g, graph, d):
+    """``recover_shape`` as it was before the pivoted factor: every factor
+    from the top-d eigenpairs of the tree block."""
+    return reference_recover_shape_by_child(g, graph, d, proved_factor=False)
+
+
+def eigh_checks_pass(block, d):
+    """Whether ``recover_shape``'s eigh rules accept the tree block: no
+    eigenvalue below -PSD_CLAMP_RTOL times the largest, and numerical rank
+    <= d."""
+    w = np.linalg.eigh(block)[0]
+    return bool(w[0] >= -PSD_CLAMP_RTOL * w[-1]
+                and _rank_of(np.clip(w, 0.0, None)[::-1], block.shape) <= d)
+
+
+def sparse_planar_framework(rng, n, degree=6, d=2):
+    """Generic points on a random connected graph with about degree * n / 2
+    edges: each vertex after the first joins a uniformly drawn earlier one,
+    and the rest are uniform pairs, duplicates and loops dropped. Vectorized,
+    so n = 10^4 costs milliseconds."""
+    a = np.concatenate([np.arange(1, n), rng.integers(0, n, max(0, degree * n // 2 - n + 1))])
+    b = np.concatenate([(rng.random(n - 1) * np.arange(1, n)).astype(int),
+                        rng.integers(0, n, a.size - n + 1)])
+    pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+    edges = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0) + 1
+    return Framework(Graph(n, edges), Configuration(rng.uniform(-1.0, 1.0, (n, d))))
 
 
 def _reference_fmt(x):

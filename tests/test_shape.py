@@ -8,6 +8,7 @@ from helpers import (
     reference_edge_vector_matrix,
     rigid_transform,
     spans_full_dimension,
+    sparse_planar_framework,
 )
 from weakrig import (
     Configuration,
@@ -24,7 +25,7 @@ from weakrig import (
     shape_distance,
     weakly_congruent,
 )
-from weakrig.shape import _weak_congruence_gap
+from weakrig.shape import _STRIP, _weak_congruence_gap
 
 
 class TestEdm:
@@ -79,6 +80,21 @@ class TestGram:
             e = reference_edge_vector_matrix(fw)
             assert np.array_equal(edge_vector_matrix(fw), e)
             assert np.array_equal(gram(fw), e.T @ e)
+
+    @pytest.mark.parametrize("m", [724, 1485, 3000])
+    def test_row_strips_match_per_strip_products(self, m):
+        """BLAS may pick another kernel for a strip than for the one-shot
+        product, so their last bits can differ (at m = 724 and 1,485 they
+        do); ``gram`` is the strips', bit for bit."""
+        rng = np.random.default_rng(m)
+        pairs = np.unique(np.sort(rng.integers(1, 400, (2 * m, 2)), axis=1), axis=0)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]][:m]
+        fw = Framework(Graph(400, pairs), Configuration(rng.uniform(-1, 1, (400, 2))))
+        assert fw.graph.m == m
+        e = reference_edge_vector_matrix(fw)
+        rows = _STRIP // m
+        strips = [e[:, lo:lo + rows].T @ e for lo in range(0, m, rows)]
+        assert np.array_equal(gram(fw), np.vstack(strips))
 
 
 class TestCongruence:
@@ -303,19 +319,51 @@ class TestRecoverShape:
         with pytest.raises(InputError, match="symmetric"):
             recover_shape(bad, fw.graph, 2)
 
-    def test_eigh_runs_once_on_tree_block(self, monkeypatch):
-        rng = np.random.default_rng(51)
-        fw = random_framework(rng, 9, 2, graph=Graph(9, tuple(
-            (i, j) for i in range(1, 10) for j in range(i + 1, 10) if (i + j) % 3)))
-        assert fw.graph.m > fw.n - 1
-        shapes = []
-        eigh = np.linalg.eigh
+    _NINE = Graph(9, tuple((i, j) for i in range(1, 10) for j in range(i + 1, 10) if (i + j) % 3))
+
+    @staticmethod
+    def _eigh_shapes(monkeypatch):
+        """Record the shape of every matrix np.linalg.eigh is called on."""
+        shapes, eigh = [], np.linalg.eigh
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        return shapes
+
+    def test_realizable_input_takes_no_eigh(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        fw = random_framework(rng, 9, 2, graph=self._NINE)
+        assert fw.graph.m > fw.n - 1
+        shapes = self._eigh_shapes(monkeypatch)
         rec = recover_shape(gram(fw), fw.graph, 2)
-        assert shapes == [(8, 8)]
+        assert shapes == []
         assert shape_distance(rec, fw.config) <= 1e-8
+
+    def test_declined_factor_runs_eigh_once_on_tree_block(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        spatial = random_framework(rng, 9, 3, graph=self._NINE)
+        shapes = self._eigh_shapes(monkeypatch)
+        with pytest.raises(NotRealizableError, match="numerical rank 3"):
+            recover_shape(gram(spatial), spatial.graph, 2)
+        assert shapes == [(8, 8)]
+        shapes.clear()
+        with pytest.raises(NotRealizableError, match="below the PSD tolerance"):
+            recover_shape(np.array([[1.0, 2.0], [2.0, 1.0]]), Graph(3, ((1, 2), (1, 3))), 2)
+        assert shapes == [(2, 2)]
+
+    def test_fast_path_needs_no_eigh(self, monkeypatch, hexagon_framework):
+        """With eigh unavailable, realizable inputs still recover: the factor
+        is accepted on each."""
+        def fail(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rng = np.random.default_rng(53)
+        spatial = random_framework(rng, 10, 3)
+        assert spans_full_dimension(spatial.config)
+        for fw in (hexagon_framework, sparse_planar_framework(rng, 200), spatial):
+            rec = recover_shape(gram(fw), fw.graph, fw.d)
+            assert shape_distance(rec, fw.config) <= 1e-8
