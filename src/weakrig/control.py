@@ -190,6 +190,9 @@ class ControlEvaluator:
         rows = np.repeat(op._row, d)  # the residual row of each slot coordinate
         bins = (op._col[:, None] * d + axes).ravel()
         vecdot, bincount, matvec = np.vecdot, np.bincount, np.matvec  # fix the rounding
+        if not k:  # np.bincount of no slots would give int64 zeros
+            def bincount(bins, weights, minlength):
+                return np.zeros(minlength)
 
         def field(x):
             g = x[gather]

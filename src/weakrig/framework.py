@@ -170,7 +170,7 @@ class _ConstraintOperator:
     The row of triple (i, j, k) reads e1 = p_i - p_j and e2 = p_i - p_k. Each
     slot adds sign * e1 or sign * e2 to one column block of one row. Slots are
     grouped by kind in the order apex·e1, apex·e2, leg j·(-e2), leg k·(-e1).
-    ``np.add.at`` adds in input order, so this order fixes the rounding of
+    ``np.bincount`` adds in slot order, so this order fixes the rounding of
     every sum.
 
     A slot with sign -1 reads its edge with head and tail swapped, which is
@@ -178,9 +178,9 @@ class _ConstraintOperator:
     slot vector. On vertex columns the first 2s slots are the e1 and e2 table.
 
     Every row is zero outside the columns its apex's slots touch, so the
-    rank tests prove a yes from R_wᵀR_w (``_certifies``) or reduce each
-    apex's rows of R_w to an R factor (``reduced``), and never form the
-    dense matrix.
+    rank tests prove a yes from R_wᵀR_w (``_certifies``) or sum R_w one apex
+    block at a time, each tall block reduced to an R factor (``reduced``),
+    and never form the dense matrix.
     """
 
     def __init__(self, t: TripleSet, d: int, ncols: int, row, col, head, tail):
@@ -227,63 +227,47 @@ class _ConstraintOperator:
         """The (s, ncols*d) matrix at the (n, d) points."""
         width = self.ncols * self.d
         cells = (self._row * self.ncols + self._col) * self.d
-        return _scatter_add(cells, self.slots(pts), np.zeros(self.s * width)).reshape(self.s, width)
+        return _summed(cells, self.slots(pts), self.s * width).reshape(self.s, width)
 
     def reduced(self, pts: np.ndarray) -> np.ndarray:
         """A short matrix with the singular values of ``dense(pts)``, for R_w
         over vertex columns: its first 2s slots are the apex slots.
 
         The rows of one apex touch only the columns of the apex and its legs,
-        and form its block. A row of R_w sums to zero over its column blocks, so a block's
-        apex columns are minus the sum of its leg columns. A block is tall
-        when its rows outnumber d times its legs; it is then replaced by the R
-        factor of its leg columns, with minus their sum, coordinate by
-        coordinate, in its apex columns: orthogonal row transforms keep the
-        singular values. The rows of the other blocks pass through first, in
-        row order, each slot in the order ``dense`` adds it, so with no tall
-        block the result is ``dense(pts)`` bit for bit. Then come the R
-        factors in apex order, each written onto its block's global columns.
+        and form its block. A row of R_w sums to zero over its column blocks,
+        so a block's apex columns are minus the sum of its leg columns, and
+        the block is summed on its leg columns alone. The blocks follow in
+        apex order. A tall block, whose rows outnumber d times its legs,
+        becomes the R factor of its QR: orthogonal row transforms keep the
+        singular values. Any other block keeps its rows, in row order, each
+        bit for bit the row of ``dense``.
         """
-        d, k, width, a = self.d, self._row.size, self.ncols * self.d, 2 * self.s
-        key = self._apex[self._row[a:]] * self.ncols + self._col[a:]  # leg slots
-        run = np.diff(key, prepend=-1) != 0  # slots repeat keys in runs: one per run
-        keys, key = np.unique(key[run], return_inverse=True)
-        key = np.r_[np.zeros(a, np.int64), key[np.cumsum(run) - 1]]  # each slot's key index
+        d, a = self.d, 2 * self.s
+        slot = self._row[a:]  # the row of each leg slot, keyed by (apex, leg column)
+        keys, key = np.unique(self._apex[slot] * self.ncols + self._col[a:], return_inverse=True)
         key_apex, key_col = np.divmod(keys, self.ncols)
         first = np.flatnonzero(np.diff(key_apex, prepend=-1))  # first key of each block
-        cols = np.diff(np.r_[first, keys.size])
+        width = np.diff(np.r_[first, keys.size]) * d
         row_block = np.searchsorted(key_apex[first], self._apex)
         height = np.bincount(row_block, minlength=first.size)
-        tall = height > cols * d
-        # group 0 passes through, tall block b is group b + 1 (its apex slots: never)
-        group = np.where(tall[row_block], row_block + 1, 0)
-        place = _rank_in_group(group)  # in its block, or among the rows passing through
-        # a slot adds at its global column when passing through, else at its local one
-        base = np.where(tall[row_block], place * cols[row_block] - first[row_block],
-                        place * self.ncols)
-        slot_group = group[self._row]
-        slot_group[:a][slot_group[:a] > 0] = first.size + 1
-        cells = (base[self._row] + np.where(slot_group > 0, key, self._col)) * d
-        order = np.argsort(slot_group, kind="stable")
-        ends = np.r_[0, np.cumsum(np.bincount(slot_group, minlength=first.size + 2))].tolist()
-        head, tail = self._idx[:k], self._idx[k:]
-
-        def scatter(g, flat):  # adds the slots of group g, in slot order
-            sel = order[ends[g]:ends[g + 1]]
-            vals = pts.take(head[sel], axis=0) - pts.take(tail[sel], axis=0)
-            return _scatter_add(cells[sel], vals, flat)
-
-        top = int(np.count_nonzero(group == 0))  # the first row below those passing through
-        out = np.zeros((top + int(cols[tall].sum()) * d, width))
-        scatter(0, out.reshape(-1))
+        # a row's cells follow those of the rows before it, block by block
+        order = np.argsort(self._apex, kind="stable")
+        span = width[row_block[order]]
+        start = (np.cumsum(span) - span)[np.argsort(order)] - first[row_block] * d
+        flat = _summed(start[slot] + key * d, self.slots(pts)[a:], int(span.sum()))
         at = (key_col[:, None] * d + np.arange(d)).ravel()  # global column of key coordinates
-        for b in np.flatnonzero(tall).tolist():
-            h, w, c = int(height[b]), int(cols[b]) * d, int(first[b]) * d
-            r = np.linalg.qr(scatter(b + 1, np.zeros(h * w)).reshape(h, w), mode="r")
-            apex = int(key_apex[first[b]]) * d
-            out[top:top + w, at[c:c + w]] = r
-            out[top:top + w, apex:apex + d] = -r.reshape(w, -1, d).sum(axis=1)
-            top += w
+        out = np.zeros((int(np.minimum(height, width).sum()), self.ncols * d))
+        top = lo = 0
+        for apex, c, h, w in zip((key_apex[first] * d).tolist(), (first * d).tolist(),
+                                 height.tolist(), width.tolist()):
+            block = flat[lo:lo + h * w].reshape(h, w)
+            if h > w:
+                block = np.linalg.qr(block, mode="r")
+            band = out[top:top + len(block)]
+            band[:, at[c:c + w]] = block
+            # 0 - x, not -x: a row of dense holds no -0
+            band[:, apex:apex + d] = 0.0 - block.reshape(len(block), -1, d).sum(axis=1)
+            top, lo = top + len(block), lo + h * w
         return out
 
     def rank(self, pts: np.ndarray) -> int:
@@ -353,20 +337,11 @@ class _ConstraintOperator:
         return True
 
 
-def _scatter_add(cells: np.ndarray, vals: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """``flat``, a float vector, with each (K, d) ``vals`` row added in row
-    order at cells ``cells[k] + coordinate``."""
-    np.add.at(flat, (cells[:, None] + np.arange(vals.shape[1])).ravel(), vals.ravel())
-    return flat
-
-
-def _rank_in_group(group: np.ndarray) -> np.ndarray:
-    """Position of each element among the elements of its group, in index order."""
-    order = np.argsort(group, kind="stable")
-    size = np.bincount(group)
-    pos = np.empty(group.size, dtype=np.int64)
-    pos[order] = np.arange(group.size) - np.repeat(np.cumsum(size) - size, size)
-    return pos
+def _summed(cells: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """A float vector of ``size`` zeros plus each (K, d) ``vals`` row, added in
+    row order at cells ``cells[k] + coordinate``."""
+    flat = np.bincount((cells[:, None] + np.arange(vals.shape[1])).ravel(), vals.ravel(), size)
+    return flat.astype(float, copy=False)  # int64 when there is no slot
 
 
 def _distance_triples(g: Graph) -> TripleSet:
@@ -398,11 +373,15 @@ def weak_rigidity_matrix(f: Framework, t: TripleSet) -> np.ndarray:
     return _ConstraintOperator.on_vertices(t, f.n, f.d).dense(f.points)
 
 
+def _require_tree(tree: Graph) -> None:
+    if tree.m != tree.n - 1 or not is_connected(tree):
+        raise DomainError("not a spanning tree: need n-1 edges forming one component")
+
+
 def _require_spanning_tree(tree: Graph, graph: Graph) -> None:
     if tree.n != graph.n:
         raise DomainError("tree and graph must share the vertex set")
-    if tree.m != graph.n - 1 or not is_connected(tree):
-        raise DomainError("not a spanning tree: need n-1 edges forming one component")
+    _require_tree(tree)
     missing = graph._edge_ids(*tree._ends) < 0
     if missing.any():
         raise DomainError(f"tree edge {tree.edges[missing.argmax()]} is not an edge of the graph")

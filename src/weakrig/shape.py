@@ -15,9 +15,9 @@ import numpy as np
 from .errors import DomainError, InputError, NotRealizableError
 from .framework import Configuration, Framework
 from .graphs import Graph, _bfs
-from .linalg import _U, _gamma, _rank_of
+from .linalg import _U, RANK_RTOL, _gamma, _rank_of
 
-PSD_CLAMP_RTOL = 1e-10
+PSD_CLAMP_RTOL = RANK_RTOL  # equal, as _proved_factor's proof needs
 _STRIP = 2**14  # Gram entries per row strip, in gram and in the realizability certificate
 _UNDERFLOW = 2 * np.sqrt(np.finfo(float).tiny)  # per row of a norm: what underflow can lose
 
@@ -114,12 +114,14 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     order, parent = _bfs(graph)
     if order.size < graph.n:
         raise DomainError("shape recovery requires a connected graph")
-    g = np.asarray(g, dtype=float)
-    m = graph.m
+    g = np.asarray(g)
+    if g.dtype.kind not in "biuf":  # str, object, complex
+        raise InputError("Gram matrix must be real")
+    g, m = g.astype(float, copy=False), graph.m
     if g.shape != (m, m):
         raise InputError(f"Gram matrix must be {m}x{m} for this graph, got {g.shape}")
-    if d < 1:
-        raise InputError("dimension must be >= 1")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise InputError("dimension must be an integer >= 1")
     if m == 0:
         return Configuration(np.zeros((graph.n, d)))
 

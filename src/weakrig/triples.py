@@ -19,7 +19,7 @@ from .errors import (
     NoValidExtensionError,
     UnsupportedDimensionError,
 )
-from .framework import Configuration, Framework, TripleSet, _distance_triples
+from .framework import Configuration, Framework, TripleSet, _distance_triples, _require_tree
 from .graphs import Graph, is_connected
 from .linalg import are_collinear
 
@@ -132,6 +132,7 @@ def minimal_triple_set(tree: Graph, c: Configuration) -> TripleSet:
     _require_planar(c.d, "triple-set construction")
     if tree.n != c.n:
         raise InputError("tree and configuration disagree on the vertex count")
+    _require_tree(tree)
     start, src, nbr = tree._csr
     vecs = _half_edge_vectors(tree, c.points)
     pos = np.arange(src.size)

@@ -565,6 +565,8 @@ def reference_minimal_triple_set(tree, c):
         )
     if tree.n != c.n:
         raise InputError("tree and configuration disagree on the vertex count")
+    if len(tree.edges) != tree.n - 1 or not reference_spanning_tree(tree)[0]:
+        raise DomainError("not a spanning tree: need n-1 edges forming one component")
     start, src, nbr = tree._csr
     vecs = c.points.take(src, axis=0) - c.points.take(nbr, axis=0)
     # whether each half-edge is collinear with the first one leaving its vertex

@@ -359,6 +359,16 @@ class TestControlEvaluator:
                 assert np.array_equal(ev.residuals(pts), flat_delta)
                 assert ev.cost(pts) == 0.5 * float(np.vecdot(flat_delta, flat_delta))
 
+    def test_no_triples_gives_float_velocity(self):
+        """With no constraint the field has no slot to sum, yet both laws
+        still return float64 zeros."""
+        tgt = FormationTarget(Graph(3, ((1, 2), (2, 3))), TripleSet(()),
+                              Configuration(np.eye(3)[:, :2]))
+        pts, gain = np.arange(6.0).reshape(3, 2), random_gain(np.random.default_rng(0), 3, 2)
+        for spec in (ControllerSpec(Law.GRADIENT, tgt), ControllerSpec(Law.NONGRADIENT, tgt, gain)):
+            vel, delta = ControlEvaluator(spec).velocity_and_residuals(pts)
+            assert vel.dtype == np.float64 and not vel.any() and delta.shape == (0,)
+
     def test_gain_required_for_nongradient(self, hexagon_target):
         with pytest.raises(InputError):
             ControllerSpec(Law.NONGRADIENT, hexagon_target)

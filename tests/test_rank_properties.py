@@ -110,14 +110,16 @@ def test_blocked_rank_matches_dense_rank(fw, data):
 
 @given(frameworks(), st.data())
 def test_reduced_is_dense_when_no_block_is_tall(fw, data):
-    """With no block taller than wide, every row passes through in row
-    order, so ``reduced`` is ``dense`` bit for bit. Distance-only operators
-    never have a tall block: each row has a leg of its own."""
+    """With no block taller than wide, ``reduced`` is ``dense`` with its rows
+    grouped by apex, in apex order and row order within an apex, bit for
+    bit. Distance-only operators never have a tall block: each row has a leg
+    of its own."""
     ops = _operators(fw, _rng(data.draw))
-    assert ops["distance"].reduced(fw.points).shape[0] == ops["distance"].s
+    assert _tall_apexes(ops["distance"]) == 0
     for op in ops.values():
-        if op.reduced(fw.points).shape[0] == op.s:
-            assert op.reduced(fw.points).tobytes() == op.dense(fw.points).tobytes()
+        if _tall_apexes(op) == 0:
+            by_apex = op.dense(fw.points)[np.argsort(op._apex, kind="stable")]
+            assert op.reduced(fw.points).tobytes() == by_apex.tobytes()
 
 
 @given(frameworks(), st.data())
@@ -178,30 +180,74 @@ def test_one_qr_per_tall_apex(fw, data):
             assert _tall_apexes(op) == 0
 
 
+def _assert_block_layout(op, pts):
+    """``reduced`` holds the apex blocks in apex order. A tall block leaves d
+    rows per leg, zero outside its columns, each with minus its leg sum in
+    the apex columns; any other block leaves the rows of ``dense`` at that
+    apex, in row order, bit for bit."""
+    d, reduced, dense = op.d, op.reduced(pts), op.dense(pts)
+    top = 0
+    for apex, (rows, cols) in _blocks(op).items():
+        if len(rows) > d * len(cols):
+            band = reduced[top:top + d * len(cols)]
+            at = (np.array(cols)[:, None] * d + np.arange(d)).ravel()
+            # in C order, the order ``reduced`` sums in
+            legs = np.ascontiguousarray(band[:, at]).reshape(len(band), len(cols), d)
+            assert np.array_equal(band[:, apex * d:apex * d + d], -legs.sum(axis=1))
+            band[:, np.r_[at, apex * d:apex * d + d]] = 0.0
+            assert not band.any()
+        else:
+            band = reduced[top:top + len(rows)]
+            assert band.tobytes() == dense[rows].tobytes()
+        top += len(band)
+    assert top == reduced.shape[0] == _reduced_rows(op)
+
+
 @given(frameworks(), st.data())
 def test_vertex_blocks_reduce_on_their_leg_columns(fw, data):
     """On R_w over vertex columns every row sums to zero over its column
-    blocks, so a tall block is reduced on its leg columns: it leaves d rows
-    per leg, and each of its R rows holds minus its leg sum in the apex
-    columns. The rows passing through are those of ``dense``, in row order,
+    blocks, so each block is summed on its leg columns: a tall block's R
+    factor leaves d rows per leg, the other blocks keep ``dense``'s rows,
     and the singular values are those of ``dense``."""
-    d, ops = fw.d, _operators(fw, _rng(data.draw))
+    ops = _operators(fw, _rng(data.draw))
     for op in (ops["full"], ops["subset"]):
-        pts, blocks = fw.points, _blocks(op)
-        reduced, dense = op.reduced(pts), op.dense(pts)
-        assert reduced.shape[0] == _reduced_rows(op)
-        tall = {a: cols for a, (rows, cols) in blocks.items() if len(rows) > d * len(cols)}
-        passing = [r for rows, cols in blocks.values() if len(rows) <= d * len(cols) for r in rows]
-        top = len(passing)
-        assert reduced[:top].tobytes() == dense[sorted(passing)].tobytes()
-        for apex, cols in tall.items():
-            band = reduced[top:top + d * len(cols)]
-            legs = band[:, (np.array(cols)[:, None] * d + np.arange(d)).ravel()]
-            assert np.array_equal(band[:, apex * d:apex * d + d],
-                                  -legs.reshape(band.shape[0], len(cols), d).sum(axis=1))
-            top += band.shape[0]
-        assert top == reduced.shape[0]
-        _assert_same_spectrum(op, pts)
+        _assert_block_layout(op, fw.points)
+        _assert_same_spectrum(op, fw.points)
+
+
+def _declined_planar_framework(rng, n):
+    """A random recursive tree on n - 2 vertices plus n/4 extra edges, so
+    leaves and hubs of degree 4 and more both occur, then a path of two
+    vertices hung on it in line: the last vertex can turn about its
+    neighbour, so no triple set on this graph has the required rank."""
+    edges = {(int(rng.integers(1, v)), v) for v in range(2, n - 1)}
+    while len(edges) < n - 3 + n // 4:
+        i, j = sorted(rng.choice(np.arange(1, n - 1), 2, replace=False).tolist())
+        edges.add((i, j))
+    edges |= {(n - 2, n - 1), (n - 1, n)}
+    pts = rng.uniform(-1.0, 1.0, (n, 2))
+    pts[n - 1] = 2.0 * pts[n - 2] - pts[n - 3]
+    return Framework(Graph(n, tuple(sorted(edges))), Configuration(pts))
+
+
+@pytest.mark.parametrize("seed, n", [(60, 60), (100, 100), (150, 150)])
+def test_declined_frameworks_at_scale(seed, n):
+    """Past the sizes ``frameworks()`` draws: on the full set, the distance
+    set and a random subset the certificate declines, the SVD rank of
+    ``reduced`` is that of ``dense``, its rows number Σ min(h, d·legs), one
+    QR runs per tall apex and the other blocks keep ``dense``'s rows."""
+    rng = np.random.default_rng(seed)
+    fw = _declined_planar_framework(rng, n)
+    full = full_triple_set(fw.graph)
+    tall = 0
+    for t in (full, _distance_triples(fw.graph), _subset(rng, full)):
+        op = _ConstraintOperator.on_vertices(t, n, 2)
+        assert not _certified(op, fw.points)
+        assert op.rank(fw.points) == numerical_rank(op.dense(fw.points)) < required_rank(n, 2)
+        assert _qr_calls(op, fw.points) == _tall_apexes(op)
+        _assert_block_layout(op, fw.points)
+        tall += _tall_apexes(op)
+    assert tall > 0
 
 
 def test_qr_calls_on_fixtures(hexagon_framework, hexagon_triples):

@@ -264,6 +264,22 @@ class TestRecoverShape:
         with pytest.raises(InputError, match="finite"):
             recover_shape(bad, fw.graph, 2)
 
+    def test_complex_gram_rejected(self):
+        """Casting to float would drop the imaginary parts and recover three
+        coincident points from i·I."""
+        triangle = Graph(3, ((1, 2), (1, 3), (2, 3)))
+        with pytest.raises(InputError, match="real"):
+            recover_shape(1j * np.eye(3), triangle, 2)
+
+    def test_string_gram_rejected(self):
+        with pytest.raises(InputError, match="real"):
+            recover_shape([["1"]], Graph(2, ((1, 2),)), 2)
+
+    @pytest.mark.parametrize("d", [2.0, True, "2"])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(InputError, match="integer"):
+            recover_shape(np.array([[9.0]]), Graph(2, ((1, 2),)), d)
+
     def test_not_psd_rejected(self):
         g = Graph(3, ((1, 2), (1, 3)))
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1

@@ -33,6 +33,7 @@ from helpers import (  # noqa: E402
 from weakrig import (  # noqa: E402
     Configuration,
     ConstructionError,
+    DomainError,
     Framework,
     Graph,
     InputError,
@@ -82,6 +83,28 @@ def subgraphs(draw, g):
     keep = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
     rng = _rng(draw)
     return Graph(g.n, tuple(e for e in g.edges if rng.random() < keep))
+
+
+@st.composite
+def spanning_trees(draw, g):
+    """Kruskal's forest over ``g``'s edges in random order: a spanning tree
+    when ``g`` is connected."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    edges = list(g.edges)
+    _rng(draw).shuffle(edges)
+    kept = []
+    for i, j in edges:
+        a, b = find(i - 1), find(j - 1)
+        if a != b:
+            root[a] = b
+            kept.append((i, j))
+    return Graph(g.n, tuple(kept))
 
 
 @st.composite
@@ -562,14 +585,15 @@ def test_tree_tests_collinearity_in_stacks(monkeypatch):
 
 @given(st.one_of(near_collinear_stars(), dense_planar_frameworks()), st.data())
 def test_minimal_triple_set_matches_per_vertex_loop(fw, data):
-    """On subgraphs of the framework's graph, trees or not, so vertices with
-    all edges collinear, and splits with several collinear edges, occur."""
-    g = data.draw(subgraphs(fw.graph))
+    """On random spanning trees of the framework's graph, so vertices with
+    all edges collinear, and splits with several collinear edges, occur; and
+    on subgraphs, which both reject unless they are spanning trees."""
+    g = data.draw(st.one_of(spanning_trees(fw.graph), subgraphs(fw.graph)))
 
     def outcome(build):
         try:
             return build(g, fw.config).triples
-        except (ConstructionError, UnsupportedDimensionError) as exc:
+        except (ConstructionError, DomainError, UnsupportedDimensionError) as exc:
             return f"{type(exc).__name__}: {exc}"
 
     assert outcome(minimal_triple_set) == outcome(reference_minimal_triple_set)

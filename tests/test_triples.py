@@ -203,6 +203,13 @@ class TestMinimalTripleSet:
         with pytest.raises(ConstructionError):
             minimal_triple_set(tree, config)
 
+    def test_non_tree_rejected(self):
+        """A cycle would get 6 triples for n = 3, not 2n - 3 = 3."""
+        config = Configuration(np.array([[0., 0.], [1., 0.], [0., 1.]]))
+        for graph in (Graph(3, ((1, 2), (1, 3), (2, 3))), Graph(3, ((1, 2),))):
+            with pytest.raises(DomainError, match="not a spanning tree"):
+                minimal_triple_set(graph, config)
+
     def test_cardinality_and_rank_on_random_frameworks(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
