@@ -218,16 +218,11 @@ class _ConstraintOperator:
                    head=np.where(neg, other, apex),
                    tail=np.where(neg, apex, other))
 
-    def slots(self, pts: np.ndarray) -> np.ndarray:
-        """(K, d) signed slot vectors at the (n, d) points."""
-        g = pts.take(self._idx, axis=0)
-        return g[:self._row.size] - g[self._row.size:]
-
     def dense(self, pts: np.ndarray) -> np.ndarray:
         """The (s, ncols*d) matrix at the (n, d) points."""
-        width = self.ncols * self.d
+        width, g, k = self.ncols * self.d, pts.take(self._idx, axis=0), self._row.size
         cells = (self._row * self.ncols + self._col) * self.d
-        return _summed(cells, self.slots(pts), self.s * width).reshape(self.s, width)
+        return _summed(cells, g[:k] - g[k:], self.s * width).reshape(self.s, width)
 
     def reduced(self, pts: np.ndarray) -> np.ndarray:
         """A short matrix with the singular values of ``dense(pts)``, for R_w
@@ -242,7 +237,7 @@ class _ConstraintOperator:
         singular values. Any other block keeps its rows, in row order, each
         bit for bit the row of ``dense``.
         """
-        d, a = self.d, 2 * self.s
+        d, a, k = self.d, 2 * self.s, self._row.size
         slot = self._row[a:]  # the row of each leg slot, keyed by (apex, leg column)
         keys, key = np.unique(self._apex[slot] * self.ncols + self._col[a:], return_inverse=True)
         key_apex, key_col = np.divmod(keys, self.ncols)
@@ -254,7 +249,8 @@ class _ConstraintOperator:
         order = np.argsort(self._apex, kind="stable")
         span = width[row_block[order]]
         start = (np.cumsum(span) - span)[np.argsort(order)] - first[row_block] * d
-        flat = _summed(start[slot] + key * d, self.slots(pts)[a:], int(span.sum()))
+        legs = pts.take(self._idx[a:k], axis=0) - pts.take(self._idx[k + a:], axis=0)
+        flat = _summed(start[slot] + key * d, legs, int(span.sum()))
         at = (key_col[:, None] * d + np.arange(d)).ravel()  # global column of key coordinates
         out = np.zeros((int(np.minimum(height, width).sum()), self.ncols * d))
         top = lo = 0

@@ -42,13 +42,13 @@ def are_collinear(u, v):
     """Scale-invariant collinearity test: ``|u ^ v| <= 1e-9 * |u| * |v|``.
 
     ``|u ^ v|`` is the hypot of the 2x2 minors ``u_a v_b - u_b v_a`` (a < b).
-    Swapping u and v negates each minor exactly, so the verdict is symmetric,
-    and a zero vector is collinear with anything. Stacks of shape (..., d) are
-    tested pair by pair and give a bool array; a pair of 1-D vectors gives a
-    bool; d >= 1. Each vector of u and v is first scaled by the power of two
-    that brings its own largest |entry| into [0.5, 1): that is exact, so it
-    changes no verdict, no product or norm below can overflow or underflow,
-    and a pair in a stack is decided as it is alone.
+    Swapping u and v, or negating either, negates each minor exactly, so the
+    verdict stays, and a zero vector is collinear with anything. Stacks of
+    shape (..., d) are tested pair by pair and give a bool array; a pair of
+    1-D vectors gives a bool; d >= 1. Each vector of u and v is first scaled
+    by the power of two that brings its own largest |entry| into [0.5, 1):
+    that is exact, so it changes no verdict, no product or norm below can
+    overflow or underflow, and a pair in a stack is decided as it is alone.
     """
     # each vector's largest |entry| is taken column by column, which beats a
     # reduction over the last axis on long stacks of short vectors

@@ -114,10 +114,14 @@ def recover_shape(g: np.ndarray, graph: Graph, d: int) -> Configuration:
     order, parent = _bfs(graph)
     if order.size < graph.n:
         raise DomainError("shape recovery requires a connected graph")
-    g = np.asarray(g)
+    m = graph.m
+    try:
+        g = np.asarray(g)
+    except ValueError:  # ragged rows
+        raise InputError(f"Gram matrix must be {m}x{m} for this graph, got ragged rows") from None
     if g.dtype.kind not in "biuf":  # str, object, complex
         raise InputError("Gram matrix must be real")
-    g, m = g.astype(float, copy=False), graph.m
+    g = g.astype(float, copy=False)
     if g.shape != (m, m):
         raise InputError(f"Gram matrix must be {m}x{m} for this graph, got {g.shape}")
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:

@@ -80,21 +80,19 @@ def min_iwr_spanning_tree(f: Framework) -> Graph:
     weakly rigid.
 
     Seeded with the lexicographically smallest edge, each step adds the smallest
-    edge (i, j), i in the tree, non-collinear with some tree edge at i. The angle
-    pairs of the tree edges added since the last test are tested in one stacked
-    call once the smallest candidate needs it.
+    edge (i, j), i in the tree, non-collinear with some tree edge at i. The tree
+    edges added since the last test are tested against every edge at their two
+    ends in one stacked call once the smallest candidate needs it.
     """
     _require_planar(f.d, "tree construction")
     g = f.graph
     if g.m == 0:
         raise NoValidExtensionError("graph has no edges to seed the tree")
     start, src, nbr = g._csr
-    _, first, second = g._angle_pairs
     vecs = _half_edge_vectors(g, f.points)
     usable = np.zeros(src.size, dtype=bool)  # i -> j is skew to a tested tree edge at i
-    eid = g._edge_ids(src, nbr)
-    lo, tail, head, edge = start.tolist(), src.tolist(), nbr.tolist(), eid.tolist()
-    in_tree, tree, tested = [False] * g.n, [], 0
+    lo, tail, head, edge = (a.tolist() for a in (start, src, nbr, g._edge_ids(src, nbr)))
+    in_tree, tree, fresh = [False] * g.n, [], []  # fresh: (end, half-edge) of new tree edges
     heap = [(0, int(start[g._ends[0][0]]))]  # half-edges out of the tree, by edge
     while len(tree) < g.n - 1:
         if not heap:
@@ -102,17 +100,18 @@ def min_iwr_spanning_tree(f: Framework) -> Graph:
                                         f"{[v + 1 for v in range(g.n) if in_tree[v]]}")
         h = heap[0][1]
         ready = usable[h] or not tree  # the smallest edge seeds the tree
-        if in_tree[head[h]] or not ready and len(tree) == tested:
+        if in_tree[head[h]] or not ready and not fresh:
             heapq.heappop(heap)  # pushed again when its tail gains a tree edge
-        elif not ready:  # test the new tree edges against the others at their ends
-            leg, tested = np.isin(eid, tree[tested:]), len(tree)
-            pair = (leg[first] & ~usable[second]) | (leg[second] & ~usable[first])
-            u, v = first[pair], second[pair]
-            skew = ~are_collinear(vecs[u], vecs[v])
-            usable[u[skew & leg[v]]] = usable[v[skew & leg[u]]] = True
+        elif not ready:  # test each new tree edge against every edge at its two ends
+            (at, ref), fresh = np.array(fresh).T, []
+            count = start[at + 1] - start[at]
+            k = np.repeat(np.arange(at.size), count)  # the end of each tested half-edge
+            out = np.arange(k.size) + (start[at] + count - np.cumsum(count))[k]
+            usable[out[~are_collinear(vecs[out], vecs[ref[k]])]] = True  # sign-blind in ref
         else:
             tree.append(heapq.heappop(heap)[0])  # the edge of h
             in_tree[tail[h]] = in_tree[head[h]] = True
+            fresh += [(tail[h], h), (head[h], h)]
             for p in [*range(lo[tail[h]], lo[tail[h] + 1]), *range(lo[head[h]], lo[head[h] + 1])]:
                 if not (usable[p] or in_tree[head[p]]):
                     heapq.heappush(heap, (edge[p], p))

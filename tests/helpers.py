@@ -328,6 +328,33 @@ def reference_integrate(cfg):
     return finish("t_max")
 
 
+# A closed triple set, where each angle triple's legs are distance triples of
+# the set too, is a set of distance constraints on its derived graph: by the
+# law of cosines e_ij·e_ik = ½(|p_i−p_j|² + |p_i−p_k|² − |p_j−p_k|²).
+
+def derived_graph(t):
+    """The edges of the derived graph Ĝ of triple set ``t``, canonical and
+    sorted as ``Graph`` sorts them: the edge of each distance triple (i, j, j)
+    and the chord jk of each angle triple (i, j, k)."""
+    return tuple(sorted({(min(i, j), max(i, j)) if j == k else (j, k) for i, j, k in t.triples}))
+
+
+def derived_matrix(t):
+    """The s × |Ĝ| matrix A with R_w(t) = A·R(Ĝ) on a closed set ``t``,
+    columns in ``derived_graph`` order: a distance row is 1 on its edge, and
+    an angle row (i, j, k) is ½ on the legs ij and ik and −½ on the chord jk.
+    A leg missing from Ĝ, so a set that is not closed, raises KeyError."""
+    col = {e: c for c, e in enumerate(derived_graph(t))}
+    a = np.zeros((t.s, len(col)))
+    for r, (i, j, k) in enumerate(t.triples):
+        if j == k:
+            a[r, col[min(i, j), max(i, j)]] = 1.0
+        else:
+            a[r, col[min(i, j), max(i, j)]] = a[r, col[min(i, k), max(i, k)]] = 0.5
+            a[r, col[j, k]] = -0.5
+    return a
+
+
 # Reference triple-set operations: the library's first per-triple loops,
 # kept so the array versions can be checked against them exactly.
 

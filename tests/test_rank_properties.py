@@ -3,7 +3,8 @@
 in d = 1, 2, 3 (full, subset, distance and spanning-tree sets), plus the edge
 cases the tolerance and the apex blocks meet: no rows, coincident points,
 vertices that are apex of no row, and stars whose leaves sit within
-1e-7..1e-10 of a line."""
+1e-7..1e-10 of a line. Also R_w of a closed set against the rigidity matrix
+of its derived graph."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import random_connected_graph, reference_rank  # noqa: E402
+from helpers import (  # noqa: E402
+    derived_graph,
+    derived_matrix,
+    random_connected_graph,
+    reference_rank,
+    sparse_planar_framework,
+)
 from weakrig import (  # noqa: E402
     Configuration,
+    ConstructionError,
     Framework,
     Graph,
+    NoValidExtensionError,
     TripleSet,
     check_iwr_via_spanning_tree,
     edge_weak_rigidity_matrix,
@@ -28,7 +37,9 @@ from weakrig import (  # noqa: E402
     numerical_rank,
     required_rank,
     restrict_triples_to_tree,
+    rigidity_matrix,
     spanning_tree,
+    weak_rigidity_matrix,
 )
 from weakrig.framework import _ConstraintOperator, _distance_triples  # noqa: E402
 from weakrig.linalg import _rank_of  # noqa: E402
@@ -454,3 +465,55 @@ def test_just_below_the_tolerance_is_declined():
     assert 0.5 < sv[req - 1] / (op.s * sv[0] * 1e-10) < 1.0
     assert not _certified(op, pts)
     assert op.rank(pts) == _svd_rank(op, pts) == req - 1
+
+
+def _closed_sets(fw):
+    """The full set and, where its tree exists, ``tstar``'s set."""
+    sets = {"full": full_triple_set(fw.graph)}
+    if fw.d == 2:
+        try:
+            sets["tstar"] = minimal_triple_set(min_iwr_spanning_tree(fw), fw.config)
+        except (NoValidExtensionError, ConstructionError):
+            pass
+    return sets
+
+
+def _derived_framework(fw, t):
+    """The framework on t's derived graph Ĝ, after checking R_w(t) = A·R(Ĝ)
+    to rounding."""
+    hat = Framework(Graph(fw.n, derived_graph(t)), fw.config)
+    np.testing.assert_allclose(weak_rigidity_matrix(fw, t),
+                               derived_matrix(t) @ rigidity_matrix(hat), rtol=0, atol=1e-12)
+    return hat
+
+
+@given(frameworks())
+def test_closed_sets_are_distance_constraints_on_the_derived_graph(fw):
+    """R_w(T) = A·R(Ĝ) to rounding, by the law of cosines. ``tstar``'s Ĝ has
+    one edge per triple: a chord jk of the tree would close a triangle, and
+    two apexes of one chord a 4-cycle."""
+    for name, t in _closed_sets(fw).items():
+        hat = _derived_framework(fw, t)
+        if name == "tstar":
+            assert hat.graph.m == t.s == 2 * fw.n - 3
+
+
+def test_derived_graph_has_the_rank_of_the_triple_set():
+    """rank R_w(T) = rank R(Ĝ) on seeded generic planar frameworks, for the
+    full set and for ``tstar``'s set, whose Ĝ has exactly 2n−3 edges. A has
+    full column rank, so the exact ranks always agree, but the two counts
+    apply the 1e-10 rule to different matrices, whose singular values A's
+    conditioning scales: they may differ near rank-deficient inputs, where
+    a singular value sits within a few orders of the tolerance, such as
+    stars whose leaves lie within ~1e-8 of a line or nearly coincident
+    points."""
+    rng = np.random.default_rng(15)
+    for n in range(3, 40, 4):
+        fw = sparse_planar_framework(rng, n)
+        sets = _closed_sets(fw)
+        assert set(sets) == {"full", "tstar"}
+        for name, t in sets.items():
+            hat = _derived_framework(fw, t)
+            rank = numerical_rank(weak_rigidity_matrix(fw, t))
+            assert rank == numerical_rank(rigidity_matrix(hat)) == required_rank(n, 2)
+            assert name == "full" or hat.graph.m == 2 * n - 3

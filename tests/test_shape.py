@@ -271,6 +271,14 @@ class TestRecoverShape:
         with pytest.raises(InputError, match="real"):
             recover_shape(1j * np.eye(3), triangle, 2)
 
+    @pytest.mark.parametrize("bad", [[[1.0, 0.0], [0.0]], [[1.0, 0.0, 0.0], [0.0, [1.0], 0.0]]])
+    def test_ragged_gram_rejected(self, bad):
+        """NumPy's own ValueError from the ragged rows does not escape."""
+        triangle = Graph(3, ((1, 2), (1, 3), (2, 3)))
+        with pytest.raises(InputError) as exc:
+            recover_shape(bad, triangle, 2)
+        assert str(exc.value) == "Gram matrix must be 3x3 for this graph, got ragged rows"
+
     def test_string_gram_rejected(self):
         with pytest.raises(InputError, match="real"):
             recover_shape([["1"]], Graph(2, ((1, 2),)), 2)

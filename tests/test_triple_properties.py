@@ -6,6 +6,8 @@ dense graphs with up to 100 vertices. The stacked dot products behind the
 collinearity test and the closed-loop residuals are checked against 1-D
 ``u @ v`` bit for bit."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -430,12 +432,14 @@ def _pairs_at_angles(rng, d, theta):
 
 @given(st.sampled_from((2, 3)), st.data())
 def test_collinearity_is_symmetric_at_the_threshold(d, data):
-    """Swapping the arguments negates each minor exactly, so no pair within
-    rounding of the threshold changes its verdict."""
+    """Swapping the arguments, or negating one, negates each minor exactly,
+    so no pair within rounding of the threshold changes its verdict. The
+    spanning tree tests a tree edge at both its ends with one of its two
+    half-edge vectors."""
     rng = _rng(data.draw)
     u, v = _pairs_at_angles(rng, d, 1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6, 500)))
     got = are_collinear(u, v)
-    assert got.tolist() == are_collinear(v, u).tolist()
+    assert got.tolist() == are_collinear(v, u).tolist() == are_collinear(v, -u).tolist()
     assert [are_collinear(b, a) for a, b in zip(u[:50], v[:50])] == got[:50].tolist()
 
 
@@ -581,6 +585,53 @@ def test_tree_tests_collinearity_in_stacks(monkeypatch):
         calls.clear()
         assert min_iwr_spanning_tree(fw) == reference_min_iwr_spanning_tree(fw)
         assert 0 < len(calls) <= 5 and all(len(shape) == 2 for shape in calls)
+
+
+def _delaunay_framework(rng, n, grid, drop):
+    """The Delaunay triangulation of n uniform points, or of n distinct points
+    of an integer grid, with each edge dropped with probability ``drop``."""
+    spatial = pytest.importorskip("scipy.spatial")
+    if grid:
+        side = 2 * int(np.sqrt(n))
+        pts = np.stack(np.divmod(rng.choice(side * side, n, replace=False), side), axis=1)
+    else:
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+    tri = spatial.Delaunay(pts).simplices
+    edges = np.unique(np.sort(tri[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1), axis=0)
+    return Framework(Graph(n, edges[rng.random(len(edges)) >= drop] + 1), Configuration(pts))
+
+
+def test_tree_matches_edge_scan_on_delaunay_triangulations():
+    """Planar graphs at the scale of a formation: triangulations of 100..400
+    points. On the grid many edges at a vertex are collinear, and dropping
+    edges makes some trees stall with NoValidExtensionError."""
+    rng = np.random.default_rng(32)
+    stalls = 0
+    for n, grid, drop in itertools.product((100, 250, 400), (False, True), (0.0, 0.15, 0.3)):
+        fw = _delaunay_framework(rng, n, grid, drop)
+        got = _tree_outcome(min_iwr_spanning_tree, fw)
+        assert got == _tree_outcome(reference_min_iwr_spanning_tree, fw)
+        stalls += isinstance(got, str)
+        if grid:  # some pair of edges at a vertex is collinear
+            _, first, second = fw.graph._angle_pairs
+            vecs = fw.points[fw.graph._csr[1]] - fw.points[fw.graph._csr[2]]
+            assert are_collinear(vecs[first], vecs[second]).any()
+    assert 0 < stalls < 18
+
+
+def test_tree_reads_the_adjacency_alone(monkeypatch):
+    """The tree never builds the graph's table of all edge pairs at a vertex."""
+    def unread(graph):
+        raise AssertionError("min_iwr_spanning_tree read Graph._angle_pairs")
+
+    monkeypatch.setattr(Graph, "_angle_pairs", property(unread))
+    rng = np.random.default_rng(5)
+    for n in (3, 10, 40):
+        for grid in (None, 4):
+            pts = rng.uniform(-1.0, 1.0, (n, 2)) if grid is None else rng.integers(0, grid, (n, 2))
+            fw = Framework(dense_graph(rng, n, 0.3), Configuration(pts))  # a fresh graph
+            assert _tree_outcome(min_iwr_spanning_tree, fw) \
+                == _tree_outcome(reference_min_iwr_spanning_tree, fw)
 
 
 @given(st.one_of(near_collinear_stars(), dense_planar_frameworks()), st.data())
