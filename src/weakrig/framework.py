@@ -278,20 +278,14 @@ class _ConstraintOperator:
 
     def _certifies(self, pts: np.ndarray, req: int) -> bool:
         """True only if the SVD rule of ``rank`` provably counts ``req``, by
-        the checks and cuts of the README's "Numerical conventions": the
-        upper cut σ_{req+1} <= ‖R_w T‖_F, and a Cholesky of G + F²TTᵀ - τI,
-        G = R_wᵀR_w, summed from each row's vertex blocks (e1+e2 at the apex,
-        -e2 at j, -e1 at k) and shifted as Rump's BIT 46 (2006) proves."""
-        s, d, n = self.s, self.d, self.ncols
-        nd, t, a, k = n * d, d * (d + 1) // 2, 2 * s, self._row.size
+        the checks and cuts of the README's "Numerical conventions" on the
+        rows R of ``_rows``, with R_w = A·R: the upper cut σ_{req+1} <=
+        ‖A‖₂‖R T‖_F, and a Cholesky of G + F²TTᵀ - τI, G = RᵀR, with τ moved
+        across σ_min(A) and shifted as Rump's BIT 46 (2006) proves."""
+        s, d, n, nd, t = self.s, self.d, self.ncols, self.ncols * self.d, self.d * (self.d + 1) // 2
         if not 0 < req <= s:
             return False
-        # one power of two brings the largest entry to [0.5, 1): exact, and
-        # G can neither overflow nor underflow
-        e = pts.take(self._idx[:a], axis=0) - pts.take(self._idx[k:k + a], axis=0)
-        e = np.ldexp(e, -np.frexp(np.abs(e).max())[1]).reshape(2, s, d)
-        blocks = np.stack([e[0] + e[1], -e[1], -e[0]], axis=1)
-        verts = self._col.reshape(4, s)[[0, 2, 3]].T
+        blocks, verts, fw2, a_hi, a_lo = self._rows(pts)
         f2 = float(np.square(blocks).sum())
         # translations, and rotations about point 1: a difference of points
         # rounds relative to itself, not to their distance from the origin
@@ -304,15 +298,15 @@ class _ConstraintOperator:
         if f2 == 0 or np.any(abs(tri.diagonal())
                              <= nd * RANK_RTOL * np.linalg.norm(m, axis=(0, 1))):
             return False  # R_w = 0, or the trivial motions lose rank
-        # slack covers the rounding of F, of T and of the SVD, relative to F
-        big, f, slack = max(s, nd), np.sqrt(f2), 16 * (s * d + nd) * _U
-        err, cut = slack * f, motions.reshape(n, d, t)
-        rt = sum(np.einsum("rd,rdt->rt", blocks[:, c], cut[verts[:, c]]) for c in range(3))
-        if ((np.linalg.norm(rt) + 2 * err) * (1 + slack)
-                >= big * RANK_RTOL * (f / np.sqrt(min(s, nd)) - err) * (1 - slack)):
+        # each slack covers the rounding of its matrix, F, T and the SVD, relative to its F
+        big, fw, f, sw = max(s, nd), np.sqrt(fw2), np.sqrt(f2), 16 * (s * d + nd) * _U
+        ew, slack = sw * fw, 16 * (len(blocks) * d + nd) * _U
+        err, rt = slack * f, np.einsum("rcd,rcdt->rt", blocks, motions.reshape(n, d, t)[verts])
+        if (a_hi * (np.linalg.norm(rt) + 3 * err) * (1 + slack) + 2 * ew
+                >= big * RANK_RTOL * (fw / np.sqrt(min(s, nd)) - ew) * (1 - sw)):
             return False
         g, rows = np.zeros((n, d, n, d)), _GRAM_ROWS
-        for lo in range(0, s, rows):
+        for lo in range(0, len(blocks), rows):
             b, v = blocks[lo:lo + rows], verts[lo:lo + rows]
             pair = (v[:, :, None] * n + v[:, None, :]).ravel()
             for x, y in np.ndindex(d, d):
@@ -322,8 +316,8 @@ class _ConstraintOperator:
         g += (f2 * motions) @ motions.T
         # a G entry sums at most 2 products per row through its vertex and
         # one more per chunk; the update and the shifts round in their turn
-        terms = 2 * int(np.bincount(verts.ravel()).max()) - (-s // rows) + 1
-        tau = ((big * RANK_RTOL * (f + err) * (1 + slack) + err) ** 2
+        terms = 2 * int(np.bincount(verts.ravel()).max()) - (-len(blocks) // rows) + 1
+        tau = ((((big * RANK_RTOL * (fw + ew) * (1 + sw) + 2 * ew) / a_lo + err) ** 2)
                + 2 * (_gamma(terms) + (1 + t) * _gamma((t + 2) ** 2)) * f2)
         g.reshape(-1)[::nd + 1] -= tau + _gamma(nd + 1) / (1 - _gamma(nd + 1)) * np.trace(g)
         try:
@@ -331,6 +325,41 @@ class _ConstraintOperator:
         except np.linalg.LinAlgError:
             return False
         return True
+
+    def _rows(self, pts: np.ndarray):
+        """(vertex blocks, their vertices, ‖R_w‖_F², a_hi >= ‖A‖₂, a_lo <= σ_min(A))
+        of the rows R that ``_certifies`` proves on, scaled exactly by one power of
+        two to a largest slot entry in [0.5, 1): Ĝ's distance rows if ``_derived``
+        finds Ĝ, else R_w's own, A = I, with a distance row's legs merged into -2e."""
+        s, n, a, k = self.s, self.ncols, 2 * self.s, self._row.size
+        verts = self._col.reshape(4, s)[[0, 2, 3]]
+        hat = _derived(*verts, n)
+        ends = np.divmod(hat[0], n)[::-1] if hat else (self._idx[:a], self._idx[k:k + a])
+        e = pts.take(ends[0], axis=0) - pts.take(ends[1], axis=0)
+        e = np.ldexp(e, -np.frexp(np.abs(e).max())[1])
+        if hat:  # 2e at the edge's larger end, -2e at the smaller
+            return (np.stack([2 * e, -2 * e], axis=1), np.stack(ends, axis=1),
+                    float(hat[1] @ np.square(e).sum(axis=1)), *hat[2:])
+        e, dist = e.reshape(2, s, -1), (verts[1] == verts[2])[:, None]
+        blocks = np.stack([e[0] + e[1], -e[1] - dist * e[0], ~dist * -e[0]], axis=1)
+        return blocks, verts.T, float(np.square(blocks).sum()), 1.0, 1.0
+
+
+def _derived(ap: np.ndarray, j: np.ndarray, k: np.ndarray, n: int):
+    """Ĝ of the rows (apex ``ap``, legs ``j`` <= ``k``, 0-based) if they are closed
+    and Ĝ has fewer edges than they are rows, else None: its edges as sorted keys
+    a·n + b (a < b), w with ‖R_w‖_F² = Σ w_e|e|², a_hi >= ‖A‖₂, a_lo <= σ_min(A)."""
+    dist, key = j == k, np.minimum(ap, j) * n + np.maximum(ap, j)
+    legs = np.concatenate([key[~dist], (np.minimum(ap, k) * n + np.maximum(ap, k))[~dist]])
+    chord, in_d = j[~dist] * n + k[~dist], np.zeros(n * n, bool)
+    in_d[key[dist]] = True
+    cut = np.bincount(chord, minlength=n * n)
+    edges = np.flatnonzero(in_d | (cut > 0))
+    if edges.size >= j.size or not in_d[legs].all():
+        return None
+    uses, cut, in_d = np.bincount(legs, minlength=n * n)[edges], cut[edges], in_d[edges]
+    return (edges, 8 * in_d + 3 * uses - cut, np.sqrt(1.5 * (in_d + (uses + cut) / 2).max()),
+            0.5 / np.sqrt(max(2, 1 + uses.max())))
 
 
 def _summed(cells: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:

@@ -4,7 +4,7 @@ in d = 1, 2, 3 (full, subset, distance and spanning-tree sets), plus the edge
 cases the tolerance and the apex blocks meet: no rows, coincident points,
 vertices that are apex of no row, and stars whose leaves sit within
 1e-7..1e-10 of a line. Also R_w of a closed set against the rigidity matrix
-of its derived graph."""
+of its derived graph, and the certificate's route through that graph."""
 
 import numpy as np
 import pytest
@@ -23,10 +23,15 @@ from helpers import (  # noqa: E402
 from weakrig import (  # noqa: E402
     Configuration,
     ConstructionError,
+    ControlEvaluator,
+    ControllerSpec,
+    FormationTarget,
     Framework,
     Graph,
+    Law,
     NoValidExtensionError,
     TripleSet,
+    build_formation_triples,
     check_iwr_via_spanning_tree,
     edge_weak_rigidity_matrix,
     full_triple_set,
@@ -39,9 +44,10 @@ from weakrig import (  # noqa: E402
     restrict_triples_to_tree,
     rigidity_matrix,
     spanning_tree,
+    weak_rigidity_function,
     weak_rigidity_matrix,
 )
-from weakrig.framework import _ConstraintOperator, _distance_triples  # noqa: E402
+from weakrig.framework import _ConstraintOperator, _derived, _distance_triples  # noqa: E402
 from weakrig.linalg import _rank_of  # noqa: E402
 
 SV_RTOL = 1e-13
@@ -396,10 +402,12 @@ def certificate_inputs(draw):
 def test_certified_yes_is_the_svd_rank(fw, data):
     """Whenever the certificate says yes, the SVD rule counts exactly the
     required rank on ``reduced``; either way ``rank`` is the SVD rule's
-    answer. On the full set and a random half of it."""
+    answer. On a random half of the full set, and on the closed sets, whose
+    certificate may run on their derived graph: the full set, the formation
+    set with the graph as sensing graph, and ``tstar``'s set where d = 2."""
     full = full_triple_set(fw.graph)
     half = TripleSet(full._arr[_rng(data.draw).random(full.s) < 0.5])
-    for t in (full, half):
+    for t in (half, build_formation_triples(fw.graph, fw.graph), *_closed_sets(fw).values()):
         op = _ConstraintOperator.on_vertices(t, fw.n, fw.d)
         if _certified(op, fw.points):
             assert _svd_rank(op, fw.points) == required_rank(fw.n, fw.d)
@@ -439,14 +447,29 @@ def test_prescale_certifies_far_scales(hexagon_framework, monkeypatch, k):
     assert op.rank(pts) == required_rank(fw.n, fw.d)
 
 
+def _hat(t, n):
+    """``_derived`` on the rows of triple set ``t``: None unless the
+    certificate runs on t's derived graph."""
+    op = _ConstraintOperator.on_vertices(t, n, 1)
+    return _derived(*op._col.reshape(4, t.s)[[0, 2, 3]], n)
+
+
 def test_weak_test_takes_no_svd_when_certified(hexagon_framework, monkeypatch):
-    """The hexagon's full set and a seeded sparse n = 100 framework (average
-    degree about 6) are decided without an SVD."""
+    """The hexagon's full set, a seeded sparse n = 100 framework (average
+    degree about 6) and seeded dense n = 70 and n = 100 frameworks (0.3 of
+    all pairs) are decided without an SVD. The dense full sets have 5-9
+    times more rows than their derived graph has edges, so the certificate
+    runs on that graph."""
     rng = np.random.default_rng(100)
     sparse = Framework(random_connected_graph(rng, 100, 0.04),
                        Configuration(rng.uniform(-1.0, 1.0, (100, 2))))
+    dense = [Framework(random_connected_graph(rng, n, 0.3),
+                       Configuration(rng.uniform(-1.0, 1.0, (n, 2)))) for n in (70, 100)]
+    for fw in dense:
+        full = full_triple_set(fw.graph)
+        assert _hat(full, fw.n)[0].size * 5 < full.s
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
-    for fw in (hexagon_framework, sparse):
+    for fw in (hexagon_framework, sparse, *dense):
         assert is_infinitesimally_weakly_rigid(fw, full_triple_set(fw.graph))
 
 
@@ -462,6 +485,26 @@ def test_just_below_the_tolerance_is_declined():
     pts[1] = pts[0] + 2.0 ** -11
     sv = np.linalg.svd(op.reduced(pts), compute_uv=False)
     req = required_rank(n, 1)
+    assert 0.5 < sv[req - 1] / (op.s * sv[0] * 1e-10) < 1.0
+    assert not _certified(op, pts)
+    assert op.rank(pts) == _svd_rank(op, pts) == req - 1
+
+
+def test_just_below_the_tolerance_is_declined_on_the_derived_graph():
+    """The full set of K_60 in 1-D plus vertex 61 hung on vertex 1 by one
+    distance row is closed, and its derived graph has 1,771 edges against
+    104,431 rows, so the certificate runs on that graph. The hanging row's
+    length 2^-12 sets σ_req = 0.85 of the tolerance: the certificate must
+    decline and the SVD say no."""
+    n = 61
+    core = full_triple_set(_complete_graph(n - 1))
+    t = TripleSet(np.r_[core._arr, [[n, 1, 1]]])
+    op = _ConstraintOperator.on_vertices(t, n, 1)
+    pts = np.linspace(0.0, 1.0, n)[:, None]
+    pts[n - 1] = pts[0] + 2.0 ** -12
+    sv = np.linalg.svd(op.reduced(pts), compute_uv=False)
+    req = required_rank(n, 1)
+    assert _hat(t, n)[0].size == 1771 and op.s == 104431
     assert 0.5 < sv[req - 1] / (op.s * sv[0] * 1e-10) < 1.0
     assert not _certified(op, pts)
     assert op.rank(pts) == _svd_rank(op, pts) == req - 1
@@ -517,3 +560,75 @@ def test_derived_graph_has_the_rank_of_the_triple_set():
             rank = numerical_rank(weak_rigidity_matrix(fw, t))
             assert rank == numerical_rank(rigidity_matrix(hat)) == required_rank(n, 2)
             assert name == "full" or hat.graph.m == 2 * n - 3
+
+
+def _sets_of_all_kinds(fw):
+    """The distance set and the closed sets: full, formation and ``tstar``."""
+    return {"distance": _distance_triples(fw.graph),
+            "formation": build_formation_triples(fw.graph, fw.graph), **_closed_sets(fw)}
+
+
+def _near_power_of_four(ratio):
+    """True when ``ratio`` is 4^k, for an integer k, to rounding."""
+    k = np.round(np.log(ratio) / np.log(4.0))
+    return abs(ratio / 4.0 ** k - 1.0) <= 1e-12
+
+
+@given(frameworks())
+def test_certificate_f_is_the_norm_of_the_dense_matrix(fw):
+    """The F of ``_rows`` is ‖R_w‖_F, up to the one power-of-two scaling,
+    by either route: on R_w's own rows a distance row's leg blocks fall on
+    one vertex and merge into -2e, and on the derived graph F² = Σ w_e|e|²
+    by the law of cosines. One edge in 1-D shows the merge: the dense row is
+    (2e, -2e), so F² = 8e², where the two leg blocks apart would give 6e²."""
+    for t in _sets_of_all_kinds(fw).values():
+        op = _ConstraintOperator.on_vertices(t, fw.n, fw.d)
+        dense = float(np.square(op.dense(fw.points)).sum())
+        for route in ("derived", "own"):
+            with pytest.MonkeyPatch.context() as mp:
+                if route == "own":
+                    mp.setattr("weakrig.framework._derived", lambda *args: None)
+                blocks, _, fw2, _, _ = op._rows(fw.points)
+            assert (fw2 == dense == 0) or _near_power_of_four(dense / fw2)
+            if route == "own":
+                assert fw2 == float(np.square(blocks).sum())
+    edge = _ConstraintOperator.on_vertices(TripleSet(((2, 1, 1),)), 2, 1)
+    assert edge._rows(np.array([[0.0], [0.75]]))[2] == 8 * 0.75 ** 2
+
+
+@given(frameworks())
+def test_derived_bounds_hold(fw):
+    """Where ``_derived`` finds Ĝ, its edges are ``derived_graph``'s, fewer
+    than the rows, and a_lo <= σ_min(A) <= ‖A‖₂ <= a_hi for A =
+    ``derived_matrix``; where it does not, the set is not closed or Ĝ has as
+    many edges as the set has rows."""
+    for t in _sets_of_all_kinds(fw).values():
+        hat, edges = _hat(t, fw.n), derived_graph(t)
+        if hat is None:
+            assert len(edges) >= t.s
+            continue
+        keys = [(a - 1) * fw.n + b - 1 for a, b in edges]
+        assert hat[0].tolist() == keys and len(keys) < t.s
+        sv = np.linalg.svd(derived_matrix(t), compute_uv=False)
+        assert hat[3] <= sv[-1] and sv[0] <= hat[2]
+
+
+@given(frameworks(), st.data())
+def test_closed_set_residuals_and_gradient_law_through_the_derived_graph(fw, data):
+    """On the full and ``tstar`` sets, to rounding: (b) the residuals are
+    δ_w = A·δ_Ĝ, with δ_Ĝ the squared Ĝ edge lengths less the target's; (c)
+    the gradient law's velocity -R_wᵀδ_w is -R(Ĝ)ᵀ(AᵀA)δ_Ĝ, a distance
+    gradient flow on Ĝ with the fixed weight AᵀA."""
+    witness = Configuration(_rng(data.draw).uniform(-1.0, 1.0, (fw.n, fw.d)))
+    for t in _closed_sets(fw).values():
+        a, hat = derived_matrix(t), Graph(fw.n, derived_graph(t))
+        lengths = [weak_rigidity_function(Framework(hat, c), _distance_triples(hat))
+                   for c in (fw.config, witness)]
+        delta_hat = lengths[0] - lengths[1]
+        target = FormationTarget(fw.graph, t, witness)
+        vel, delta = ControlEvaluator(ControllerSpec(Law.GRADIENT, target)) \
+            .velocity_and_residuals(fw.points)
+        np.testing.assert_allclose(delta, a @ delta_hat, rtol=0, atol=1e-12)
+        r_hat = rigidity_matrix(Framework(hat, fw.config))
+        np.testing.assert_allclose(vel.ravel(), -r_hat.T @ (a.T @ a @ delta_hat),
+                                   rtol=0, atol=1e-11)
