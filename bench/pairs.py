@@ -16,32 +16,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from snapshot import ROOT, bench_run
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The JSON result line of one untraced run in ``root``, or None if it failed."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return None
-    try:
-        return json.loads(lines[-1])
-    except json.JSONDecodeError:
-        return None
-
-
 def run_pairs(parent: Path, workload: str, seed: int, pairs: int, seconds: float,
-              runner=run_once) -> dict[str, list[dict]] | None:
+              runner=bench_run) -> dict[str, list[dict]] | None:
     """{"parent": [...], "change": [...]} results in pair order, or None as
     soon as a run fails. Even pairs run the parent first, odd pairs this
     checkout."""
@@ -49,7 +35,7 @@ def run_pairs(parent: Path, workload: str, seed: int, pairs: int, seconds: float
     out = {"parent": [], "change": []}
     for k in range(pairs):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            result = runner(sides[side], workload, seed, seconds)
+            result = runner(seed, sides[side], workload, seconds, ("--trace", "0"))
             if result is None or not result.get("correct", False):
                 print(f"pair {k + 1}: the {side} run failed", file=sys.stderr)
                 return None
@@ -73,7 +59,7 @@ def summarize(runs: dict[str, list[dict]]) -> list[dict]:
     return rows
 
 
-def main(argv=None, runner=run_once) -> int:
+def main(argv=None, runner=bench_run) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--workload", required=True)

@@ -33,15 +33,20 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
-def bench_run(seed: int) -> dict:
-    """The last stdout line of one ``--workload all`` run, parsed."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-            "--seconds", str(SECONDS)]
-    proc = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=False)
+def bench_run(seed: int, root: Path = ROOT, workload: str = "all", seconds: float = SECONDS,
+              extra: tuple[str, ...] = ()) -> dict | None:
+    """The last stdout line of one perfbench run in checkout ``root``, parsed,
+    or None if the run exits nonzero or its last line is not JSON."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), *extra]
+    proc = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"seed {seed}: perfbench exited with code {proc.returncode}")
-    return json.loads(lines[-1])
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
 
 
 def summarize(runs: dict[int, dict]) -> dict:
@@ -91,6 +96,9 @@ def main(argv=None) -> int:
     parser.add_argument("out", help="the JSON file to write")
     args = parser.parse_args(argv)
     runs = {seed: bench_run(seed) for seed in SEEDS}
+    if None in runs.values():
+        failed = [seed for seed, run in runs.items() if run is None]
+        raise SystemExit(f"seeds {failed}: perfbench failed or printed no result line")
     snapshot = {
         "command": f"perfbench/run.py --workload all --seconds {SECONDS}",
         "seeds": list(SEEDS),

@@ -331,10 +331,9 @@ class _ConstraintOperator:
         of the rows R that ``_certifies`` proves on, scaled exactly by one power of
         two to a largest slot entry in [0.5, 1): Ĝ's distance rows if ``_derived``
         finds Ĝ, else R_w's own, A = I, with a distance row's legs merged into -2e."""
-        s, n, a, k = self.s, self.ncols, 2 * self.s, self._row.size
-        verts = self._col.reshape(4, s)[[0, 2, 3]]
+        s, n, k, verts = self.s, self.ncols, self._row.size, self._col.reshape(4, self.s)[[0, 2, 3]]
         hat = _derived(*verts, n)
-        ends = np.divmod(hat[0], n)[::-1] if hat else (self._idx[:a], self._idx[k:k + a])
+        ends = np.divmod(hat[0], n)[::-1] if hat else (self._idx[:2 * s], self._idx[k:k + 2 * s])
         e = pts.take(ends[0], axis=0) - pts.take(ends[1], axis=0)
         e = np.ldexp(e, -np.frexp(np.abs(e).max())[1])
         if hat:  # 2e at the edge's larger end, -2e at the smaller
@@ -346,20 +345,22 @@ class _ConstraintOperator:
 
 
 def _derived(ap: np.ndarray, j: np.ndarray, k: np.ndarray, n: int):
-    """Ĝ of the rows (apex ``ap``, legs ``j`` <= ``k``, 0-based) if they are closed
-    and Ĝ has fewer edges than they are rows, else None: its edges as sorted keys
-    a·n + b (a < b), w with ‖R_w‖_F² = Σ w_e|e|², a_hi >= ‖A‖₂, a_lo <= σ_min(A)."""
+    """Ĝ of the rows (apex ``ap``, legs ``j`` <= ``k``, 0-based) if they are closed and
+    Ĝ has fewer edges than rows, else None: its edges as sorted keys a·n + b (a < b), w
+    with ‖R_w‖_F² = Σ w_e|e|², a_hi >= ‖A‖₂, a_lo <= σ_min(A). Keys index tables while
+    n² <= 8s (the faster, measured), else are sorted to their distinct values: O(s) memory."""
     dist, key = j == k, np.minimum(ap, j) * n + np.maximum(ap, j)
-    legs = np.concatenate([key[~dist], (np.minimum(ap, k) * n + np.maximum(ap, k))[~dist]])
-    chord, in_d = j[~dist] * n + k[~dist], np.zeros(n * n, bool)
-    in_d[key[dist]] = True
-    cut = np.bincount(chord, minlength=n * n)
-    edges = np.flatnonzero(in_d | (cut > 0))
-    if edges.size >= j.size or not in_d[legs].all():
+    keys = np.concatenate([key[dist], j[~dist] * n + k[~dist], key[~dist],
+                           (np.minimum(ap, k) * n + np.maximum(ap, k))[~dist]])
+    values, keys = np.unique(keys, return_inverse=True) if n * n > 8 * j.size else (None, keys)
+    size = n * n if values is None else values.size
+    in_d, cut, uses = (np.bincount(x, minlength=size) for x in np.split(keys, [dist.sum(), j.size]))
+    edges, in_d = np.flatnonzero(in_d + cut), in_d > 0
+    if edges.size >= j.size or uses[~in_d].any():
         return None
-    uses, cut, in_d = np.bincount(legs, minlength=n * n)[edges], cut[edges], in_d[edges]
-    return (edges, 8 * in_d + 3 * uses - cut, np.sqrt(1.5 * (in_d + (uses + cut) / 2).max()),
-            0.5 / np.sqrt(max(2, 1 + uses.max())))
+    uses, cut, in_d = uses[edges], cut[edges], in_d[edges]
+    return (edges if values is None else values[edges], 8 * in_d + 3 * uses - cut,
+            np.sqrt(1.5 * (in_d + (uses + cut) / 2).max()), 0.5 / np.sqrt(max(2, 1 + uses.max())))
 
 
 def _summed(cells: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 benchmark runs here."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 PATH = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+sys.path.insert(0, str(PATH.parent))  # pairs.py imports its runner from snapshot.py
 spec = importlib.util.spec_from_file_location("pairs", PATH)
 pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(pairs)
@@ -27,7 +29,8 @@ class Stub:
         self.values = {PARENT: list(parent), pairs.ROOT: list(change)}
         self.calls, self.fail_at = [], fail_at
 
-    def __call__(self, root, workload, seed, seconds):
+    def __call__(self, seed, root, workload, seconds, extra):
+        assert extra == ("--trace", "0")
         self.calls.append(("parent" if root == PARENT else "change", workload, seed, seconds))
         if len(self.calls) == self.fail_at:
             return None
@@ -65,7 +68,7 @@ def test_a_failed_run_exits_2(fail_at, capsys):
 
 
 def test_an_incorrect_run_exits_2():
-    def runner(root, workload, seed, seconds):
+    def runner(seed, root, workload, seconds, extra):
         return _result(0.3, correct=root != pairs.ROOT)
 
     assert pairs.main([str(PARENT), "--workload", "static_analysis", "--seed", "1",

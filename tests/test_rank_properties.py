@@ -603,14 +603,38 @@ def test_derived_bounds_hold(fw):
     ``derived_matrix``; where it does not, the set is not closed or Ĝ has as
     many edges as the set has rows."""
     for t in _sets_of_all_kinds(fw).values():
-        hat, edges = _hat(t, fw.n), derived_graph(t)
-        if hat is None:
-            assert len(edges) >= t.s
-            continue
-        keys = [(a - 1) * fw.n + b - 1 for a, b in edges]
-        assert hat[0].tolist() == keys and len(keys) < t.s
-        sv = np.linalg.svd(derived_matrix(t), compute_uv=False)
-        assert hat[3] <= sv[-1] and sv[0] <= hat[2]
+        _check_derived(t, fw.n, _hat(t, fw.n))
+
+
+def _check_derived(t, n, hat):
+    edges = derived_graph(t)
+    if hat is None:
+        assert len(edges) >= t.s
+        return
+    keys = [(a - 1) * n + b - 1 for a, b in edges]
+    assert hat[0].tolist() == keys and len(keys) < t.s
+    sv = np.linalg.svd(derived_matrix(t), compute_uv=False)
+    assert hat[3] <= sv[-1] and sv[0] <= hat[2]
+
+
+def test_derived_sorts_the_keys_where_tables_would_be_large(monkeypatch):
+    """On a strip of triangles, n = 80 (edges i, i+1 and i, i+2), n² exceeds
+    8s: ``_derived`` then counts no key in a table of n² entries, and still
+    finds Ĝ (every pair within 4 steps) and bounds that hold. The same checks
+    run on sets of all kinds there."""
+    n, rng = 80, np.random.default_rng(33)
+    graph = Graph(n, tuple((i, i + h) for i in range(1, n + 1) for h in (1, 2) if i + h <= n))
+    fw = Framework(graph, Configuration(rng.uniform(-1.0, 1.0, (n, 2))))
+    sizes, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, *a, minlength=0, **kw:
+                        sizes.append(minlength) or bincount(x, *a, minlength=minlength, **kw))
+    for name, t in _sets_of_all_kinds(fw).items():
+        assert n * n > 8 * t.s
+        hat = _hat(t, n)
+        assert sizes and max(sizes) < n * n
+        assert (hat is None) == (name in ("distance", "tstar"))
+        _check_derived(t, n, hat)
+    assert _hat(full_triple_set(graph), n)[0].size == 4 * n - 10
 
 
 @given(frameworks(), st.data())
